@@ -6,11 +6,14 @@ import (
 	"math/rand"
 )
 
-// RNG wraps a seeded math/rand source with the distribution helpers the
+// RNG wraps a seeded math/rand generator with the distribution helpers the
 // simulation needs. It is deliberately splittable: Split derives an
 // independent child stream from a label, so adding randomness to one
 // subsystem never perturbs the draw sequence of another. That property is
 // what keeps experiment outputs stable as the codebase grows.
+//
+// Every stream is identical to rand.New(rand.NewSource(seed)) for the same
+// seed; only the source behind it differs (lazySource).
 type RNG struct {
 	seed int64
 	r    *rand.Rand
@@ -18,7 +21,9 @@ type RNG struct {
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	src := new(lazySource)
+	src.Seed(seed)
+	return &RNG{seed: seed, r: rand.New(src)}
 }
 
 // Seed reports the seed this generator was created with.
@@ -43,23 +48,103 @@ func (g *RNG) splitSeed(label string) int64 {
 }
 
 // Reseed re-initializes the generator in place to the exact state NewRNG
-// would give it — the allocation-free form for pooled reuse. The underlying
-// math/rand source is 4.9 KB, so callers that split per entity (one stream
-// per job, say) and can bound the stream's lifetime should recycle dead
-// generators through Reseed/SplitInto instead of allocating a new source
-// each time.
+// would give it. Re-seeding costs O(1); what it saves over NewRNG is the
+// allocation. Each generator carries a 4.9 KB state vector, so callers that
+// split per entity (one stream per job, say) and can bound the stream's
+// lifetime should recycle dead generators through Reseed/SplitInto.
 func (g *RNG) Reseed(seed int64) {
 	g.seed = seed
 	g.r.Seed(seed)
 }
 
-// SplitInto is Split with the child's allocation recycled: it re-seeds
-// child to the exact stream Split(label) would return. The child must not
-// be in use — recycling a generator that can still be drawn from corrupts
+// SplitInto is Split without the allocation: it re-seeds child, in O(1),
+// to the exact stream Split(label) would return. The child must not be in
+// use — recycling a generator that can still be drawn from corrupts
 // determinism silently.
 func (g *RNG) SplitInto(child *RNG, label string) {
 	child.Reseed(g.splitSeed(label))
 }
+
+const (
+	rngLen    = 607           // words in math/rand's lagged-Fibonacci state
+	rngTap    = 273           // its second lag
+	int32max  = 1<<31 - 1     // modulus of the seeding LCG
+	seedMul   = 48271         // multiplier of the seeding LCG
+	seedZero  = 89482311      // what math/rand seeds with in place of 0
+	seedSteps = 3*rngLen + 21 // seedPow's length: steps 0 through 23+3·606
+)
+
+// seedPow[n] is seedMul^n mod int32max, so the n-th LCG step from x is
+// x·seedPow[n] mod int32max without walking the n-1 steps before it.
+var seedPow = func() (p [seedSteps]uint64) {
+	p[0] = 1
+	for n := 1; n < seedSteps; n++ {
+		p[n] = p[n-1] * seedMul % int32max
+	}
+	return p
+}()
+
+// lazySource is math/rand's rngSource with its seeding deferred word by
+// word. rngSource.Seed walks the LCG x ← x·48271 mod (2³¹−1) 1,841 times
+// to fill all 607 state words; word i depends only on steps 21+3i, 22+3i
+// and 23+3i, so lazySource computes it on the first draw that reads it. A
+// stream that takes k values from the source touches at most 2k words, and
+// the state after any sequence of draws equals rngSource's, so every draw
+// does too.
+type lazySource struct {
+	tap, feed int
+	x0        uint64                     // the reduced seed, LCG step 0
+	filled    [(rngLen + 63) / 64]uint64 // bit i set once vec[i] is valid
+	vec       [rngLen]int64
+}
+
+// Seed reduces seed exactly as rngSource.Seed does and invalidates every
+// state word.
+func (s *lazySource) Seed(seed int64) {
+	s.tap = 0
+	s.feed = rngLen - rngTap
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = seedZero
+	}
+	s.x0 = uint64(seed)
+	s.filled = [len(s.filled)]uint64{}
+}
+
+// word returns state word i, computing rngSource's seeded value first if
+// no draw has touched it since Seed.
+func (s *lazySource) word(i int) int64 {
+	if s.filled[i>>6]&(1<<(i&63)) == 0 {
+		s.filled[i>>6] |= 1 << (i & 63)
+		p := seedPow[21+3*i : 24+3*i]
+		u := int64(s.x0*p[0]%int32max) << 40
+		u ^= int64(s.x0*p[1]%int32max) << 20
+		u ^= int64(s.x0 * p[2] % int32max)
+		s.vec[i] = u ^ rngCooked[i]
+	}
+	return s.vec[i]
+}
+
+// Uint64 is rngSource.Uint64 reading through word.
+func (s *lazySource) Uint64() uint64 {
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	if s.feed < 0 {
+		s.feed += rngLen
+	}
+	x := s.word(s.feed) + s.word(s.tap)
+	s.vec[s.feed] = x
+	return uint64(x)
+}
+
+// Int63 is rngSource.Int63.
+func (s *lazySource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
 // Float64 returns a uniform draw in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
