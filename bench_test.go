@@ -13,6 +13,7 @@ import (
 	"panrucio/internal/analysis"
 	"panrucio/internal/core"
 	"panrucio/internal/experiments"
+	"panrucio/internal/records"
 	"panrucio/internal/sim"
 	"panrucio/internal/sweep"
 )
@@ -66,6 +67,21 @@ func BenchmarkSimulation(b *testing.B) {
 	b.ReportMetric(events/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(liveB/events, "live_B/event")
 	b.ReportMetric(allocB/events, "alloc_B/event")
+}
+
+// BenchmarkStoreJobsWindow measures the query every analysis starts from:
+// the user jobs completed in the study window, ordered by pandaid, over
+// the shared paper-scale run's frozen store. Metric: jobs returned.
+func BenchmarkStoreJobsWindow(b *testing.B) {
+	s := sharedSuite()
+	res := s.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		n = len(res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser))
+	}
+	b.ReportMetric(float64(n), "jobs")
 }
 
 // BenchmarkFig2VolumeGrowth regenerates the cumulative managed-volume

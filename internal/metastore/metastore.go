@@ -85,15 +85,6 @@ type Store struct {
 	jobsByEnd []*records.JobRecord
 	evByStart []*records.TransferEvent
 
-	// lfnIdx maps interned LFN symbols to that file's events in global
-	// ingestion order. It is built lazily on the first TransfersByLFN /
-	// TransfersByKey call — those queries are off the simulation and
-	// matching hot paths, and skipping the eager per-event map upkeep is a
-	// large share of the columnar layout's memory win.
-	lfnMu    sync.Mutex
-	lfnIdx   map[uint32][]*records.TransferEvent
-	lfnBuilt bool
-
 	frozen   atomic.Bool
 	freezeMu sync.Mutex
 }
@@ -241,7 +232,6 @@ func (s *Store) PutTransfer(ev *records.TransferEvent) {
 	}
 	sh.putTransfer(cp, key, seq)
 	s.pendTransfers++
-	s.lfnBuilt = false
 	s.frozen.Store(false)
 }
 
@@ -367,8 +357,6 @@ func (s *Store) Reset() {
 	// references and let the old arrays go.
 	s.jobsByEnd = nil
 	s.evByStart = nil
-	s.lfnIdx = nil
-	s.lfnBuilt = false
 	s.frozen.Store(false)
 }
 
@@ -445,11 +433,15 @@ func (s *Store) TaskTransfersByActivity() map[records.Activity]int {
 }
 
 // Jobs returns the jobs with EndTime in [from, to) and the given label
-// ("" = any), sorted by pandaid. This mirrors the paper's query semantics:
-// only jobs completed inside the window are reported. On a frozen store the
-// window is resolved by binary search over the merged EndTime index; on a
-// live store it is merged on the fly from every shard's sealed segments and
-// tail — identical results either way.
+// ("" = any), ordered by pandaid ascending; rows sharing a pandaid (the
+// at-least-once duplicates) keep their (EndTime, ingestion) order. This
+// mirrors the paper's query semantics: only jobs completed inside the
+// window are reported. On a frozen store the window is resolved by binary
+// search over the merged EndTime index; on a live store it is merged on
+// the fly from every shard's sealed segments and tail. Both paths yield
+// the same (EndTime, ingestion)-ordered window and order it by pandaid
+// with the same stable kernel, so the result is identical either way.
+// The result is a fresh slice (nil when nothing matches).
 func (s *Store) Jobs(from, to simtime.VTime, label records.SourceLabel) []*records.JobRecord {
 	var seg []*records.JobRecord
 	if s.frozen.Load() {
@@ -457,13 +449,22 @@ func (s *Store) Jobs(from, to simtime.VTime, label records.SourceLabel) []*recor
 	} else {
 		seg = s.liveJobWindow(from, to)
 	}
-	var out []*records.JobRecord
-	for _, j := range seg {
+	// Pointer-free buffers: window positions and pandaids of the matches.
+	pos := make([]int32, 0, len(seg))
+	ids := make([]int64, 0, len(seg))
+	for i, j := range seg {
 		if label == "" || j.Label == label {
-			out = append(out, j)
+			pos = append(pos, int32(i))
+			ids = append(ids, j.PandaID)
 		}
 	}
-	sort.SliceStable(out, func(i, k int) bool { return out[i].PandaID < out[k].PandaID })
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]*records.JobRecord, len(ids))
+	for i, k := range stableOrder(ids) {
+		out[i] = seg[pos[k]]
+	}
 	return out
 }
 
@@ -509,68 +510,10 @@ func (s *Store) FilesForJob(pandaID, jediTaskID int64) []*records.FileRecord {
 	return out
 }
 
-// TransfersByLFN returns the transfer events for one logical file name, in
-// ingestion order. Served from the lazily built per-LFN index (see lfnIdx);
-// the first call after an ingest pays the build.
-func (s *Store) TransfersByLFN(lfn string) []*records.TransferEvent {
-	id, ok := s.strings.lookup(lfn)
-	if !ok {
-		return nil
-	}
-	return s.lfnIndex()[id]
-}
-
-// lfnIndex returns the per-LFN buckets, building them on first use by
-// merging the shards' event arenas in global ingestion order.
-func (s *Store) lfnIndex() map[uint32][]*records.TransferEvent {
-	s.lfnMu.Lock()
-	defer s.lfnMu.Unlock()
-	if s.lfnBuilt {
-		return s.lfnIdx
-	}
-	idx := make(map[uint32][]*records.TransferEvent)
-	heads := make([]int, len(s.shards))
-	remaining := s.TransferCount()
-	for remaining > 0 {
-		best := -1
-		for i, sh := range s.shards {
-			if heads[i] >= sh.events.len() {
-				continue
-			}
-			if best == -1 || sh.evSeq[heads[i]] < s.shards[best].evSeq[heads[best]] {
-				best = i
-			}
-		}
-		ev := s.shards[best].events.at(heads[best])
-		if id, ok := s.strings.lookup(ev.LFN); ok {
-			idx[id] = append(idx[id], ev)
-		}
-		heads[best]++
-		remaining--
-	}
-	s.lfnIdx = idx
-	s.lfnBuilt = true
-	return idx
-}
-
 // TransfersByTaskID returns the transfer events carrying a jeditaskid, in
 // ingestion order — a single-shard probe.
 func (s *Store) TransfersByTaskID(jedi int64) []*records.TransferEvent {
 	return s.shards[s.ShardFor(jedi)].evByTask[jedi]
-}
-
-// TransfersByKey returns the events sharing one composite join key, in
-// ingestion order — the per-LFN bucket narrowed by the remaining three
-// attributes (LFNs rarely repeat across keys, so the filter scans a
-// handful of events).
-func (s *Store) TransfersByKey(key JoinKey) []*records.TransferEvent {
-	var out []*records.TransferEvent
-	for _, ev := range s.TransfersByLFN(key.LFN) {
-		if ev.Scope == key.Scope && ev.Dataset == key.Dataset && ev.ProdDBlock == key.ProdDBlock {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // TaskTransfersByKey returns the events of one JEDI task sharing the join

@@ -62,9 +62,6 @@ func TestTransferIndexes(t *testing.T) {
 	s.PutTransfer(&records.TransferEvent{EventID: 2, LFN: "x", JediTaskID: 0, StartedAt: 20})
 	s.PutTransfer(&records.TransferEvent{EventID: 3, LFN: "y", JediTaskID: 5, StartedAt: 30})
 
-	if got := s.TransfersByLFN("x"); len(got) != 2 {
-		t.Fatalf("TransfersByLFN(x) = %d", len(got))
-	}
 	if got := s.TransfersByTaskID(5); len(got) != 2 {
 		t.Fatalf("TransfersByTaskID(5) = %d", len(got))
 	}
@@ -100,9 +97,6 @@ func TestJoinKeyIndices(t *testing.T) {
 	other.Dataset = "other"
 	s.PutTransfer(other)
 
-	if got := s.TransfersByKey(key); len(got) != 4 {
-		t.Fatalf("TransfersByKey = %d events, want 4", len(got))
-	}
 	got := s.TaskTransfersByKey(5, key)
 	if len(got) != 2 || got[0].EventID != 1 || got[1].EventID != 2 {
 		t.Fatalf("TaskTransfersByKey(5) = %v, want events 1,2 in ingestion order", got)

@@ -64,20 +64,18 @@ func (r *segRun[T]) window(from, to simtime.VTime, at func(*T) simtime.VTime) se
 	return segRun[T]{rows: r.rows[lo:hi], seqs: r.seqs[lo:hi]}
 }
 
-// sortByTime stable-sorts the run by its time key in place. Rows enter in
-// ingestion (sequence) order, so stability makes the result ordered by
-// (time, seq) without comparing sequences.
+// sortByTime orders the run by its time key in place, with the package's
+// stable radix kernel (stableOrder) over the extracted times. Rows enter
+// in ingestion (sequence) order, so stability makes the result ordered by
+// (time, seq) without comparing sequences. Every seal and every tail view
+// sorts here.
 func (r *segRun[T]) sortByTime(at func(*T) simtime.VTime) {
 	n := len(r.rows)
-	times := make([]simtime.VTime, n)
+	times := make([]int64, n)
 	for i, p := range r.rows {
-		times[i] = at(p)
+		times[i] = int64(at(p))
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(i, k int) bool { return times[perm[i]] < times[perm[k]] })
+	perm := stableOrder(times)
 	rows := make([]*T, n)
 	seqs := make([]uint32, n)
 	for i, p := range perm {

@@ -22,8 +22,7 @@ type shard struct {
 
 	// Global put sequence per arena row. Rows within a shard are already in
 	// global ingestion order; the sequences order rows across shards and
-	// segments when sorted runs are merged (time ties keep ingestion order)
-	// and when per-LFN buckets are built.
+	// segments when sorted runs are merged (time ties keep ingestion order).
 	jobSeq []uint32
 	evSeq  []uint32
 
