@@ -128,8 +128,14 @@ type segIndex[T any] struct {
 
 // noteAppend records that one row was appended to the arena, invalidating
 // the cached tail view and sealing the tail once it reaches the limit.
+// Only readers build tail views, and under the single-writer contract
+// above no reader overlaps ingest (the serving layer's epoch lock admits
+// readers only between ingest windows), so a nil Load here cannot race a
+// reader's Store and the common case skips the atomic store.
 func (x *segIndex[T]) noteAppend(a *arena[T], seqs []uint32) {
-	x.tail.Store(nil)
+	if x.tail.Load() != nil {
+		x.tail.Store(nil)
+	}
 	if a.len()-x.start >= x.limit {
 		x.seal(a, seqs)
 	}

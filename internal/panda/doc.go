@@ -9,8 +9,16 @@
 // metastore's PutJob/PutFile in sim.Run). Brokerage is pluggable via the
 // BrokerPolicy interface — DataLocalityPolicy is the paper's
 // production heuristic, and internal/coopt supplies the shared-awareness
-// alternatives. Invariant: job records deliberately carry the pandaid the
-// transfer events lack; the asymmetry between the two streams is the
-// paper's central data problem, so nothing here may leak job identity
-// into rucio's events.
+// alternatives.
+//
+// Per-site state lives in a slice in grid.Sites() order, and each job
+// points at its site's state from brokerage on. DataLocalityPolicy scores
+// a reused per-site []int64 of input bytes built from catalog RSE ids,
+// scanning in SiteNames order with a strict >, so ties go to the first
+// site; InputBytesAt stays the by-name probe.
+//
+// Invariant: job records deliberately carry the pandaid the transfer
+// events lack; the asymmetry between the two streams is the paper's
+// central data problem, so nothing here may leak job identity into
+// rucio's events.
 package panda

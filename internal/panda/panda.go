@@ -139,6 +139,8 @@ type Job struct {
 	Site     string
 	DirectIO bool
 
+	site *siteState // Site's pilot pool, bound at brokerage
+
 	Creation simtime.VTime
 	Start    simtime.VTime
 	End      simtime.VTime
@@ -168,7 +170,6 @@ var errorTable = []struct {
 
 // siteState is a per-site pilot pool with a FIFO backlog.
 type siteState struct {
-	name    string
 	slots   int
 	running int
 	backlog []*Job
@@ -185,13 +186,15 @@ type System struct {
 	jobSink  JobSink
 	fileSink FileSink
 
-	sites      map[string]*siteState
+	// Per-site tables in grid.Sites() order: a site's index here is its
+	// Grid.SiteIndex.
+	sites      []*siteState
 	siteNames  []string
 	cpuWeights []float64
 
-	// siteBytes is the brokerage scratch map reused by inputBytesBySite
+	// siteBytes is the brokerage scratch slice reused by inputBytesBySite
 	// (the engine is single-threaded, so one buffer suffices).
-	siteBytes map[string]int64
+	siteBytes []int64
 
 	// rngPool recycles per-entity generators (one stream per task, one per
 	// job). Re-seeding is O(1), but each generator still carries a 4.9 KB
@@ -217,11 +220,10 @@ func NewSystem(eng *simtime.Engine, grid *topology.Grid, ruc *rucio.Rucio, rng *
 	s := &System{
 		eng: eng, grid: grid, ruc: ruc, rng: rng, opts: opts,
 		jobSink: js, fileSink: fs,
-		sites:     make(map[string]*siteState),
-		siteBytes: make(map[string]int64),
+		siteBytes: make([]int64, len(grid.Sites())),
 	}
 	for _, site := range grid.Sites() {
-		s.sites[site.Name] = &siteState{name: site.Name, slots: site.CPUSlots}
+		s.sites = append(s.sites, &siteState{slots: site.CPUSlots})
 		s.siteNames = append(s.siteNames, site.Name)
 		s.cpuWeights = append(s.cpuWeights, float64(site.CPUSlots))
 	}
@@ -318,6 +320,7 @@ func (s *System) SubmitTask(spec TaskSpec) (*Task, error) {
 		}
 		j.DirectIO = spec.Label == records.LabelUser && taskRNG.Bool(s.opts.DirectIOFraction)
 		j.Site = s.broker(j, taskRNG)
+		j.site = s.site(j.Site)
 		t.Jobs = append(t.Jobs, j)
 		s.SubmittedJobs++
 		s.enqueue(j, taskRNG)
@@ -346,39 +349,47 @@ func (DataLocalityPolicy) Name() string { return "data-locality" }
 // Choose implements BrokerPolicy.
 func (DataLocalityPolicy) Choose(j *Job, s *System, rng *simtime.RNG) string {
 	if !rng.Bool(s.opts.RemoteBrokerageProb) {
-		bySite := s.inputBytesBySite(j)
-		best, bestScore := "", 0.0
-		for _, name := range s.siteNames {
-			bytes := bySite[name]
-			if bytes == 0 {
-				continue
-			}
-			pressure := 1 + float64(s.SiteBacklog(name))/math.Max(1, float64(s.SiteSlots(name)))
-			score := float64(bytes) / pressure
-			if score > bestScore {
-				best, bestScore = name, score
-			}
-		}
-		if best != "" {
-			return best
+		if i := s.bestDataSite(j); i >= 0 {
+			return s.siteNames[i]
 		}
 	}
 	return s.siteNames[rng.Choice(s.cpuWeights)]
 }
 
+// bestDataSite scores every site holding some of the job's input by its
+// input bytes over backlog pressure and returns the best site's index, or
+// -1 when no site holds any input. Sites are scanned in SiteNames order
+// with a strict >, so ties go to the first site.
+func (s *System) bestDataSite(j *Job) int {
+	best, bestScore := -1, 0.0
+	for i, bytes := range s.inputBytesBySite(j) {
+		if bytes == 0 {
+			continue
+		}
+		st := s.sites[i]
+		pressure := 1 + float64(len(st.backlog))/math.Max(1, float64(st.slots))
+		score := float64(bytes) / pressure
+		if score > bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
+}
+
 // inputBytesBySite computes InputBytesAt for every site in one pass by
-// inverting the probe: walk each input file's replica set once and
+// inverting the probe: walk each input file's replica list once and
 // attribute its size to the site whose primary RSE holds it, instead of
-// re-probing the replica map per (file, site) pair. Returns the reused
-// scratch map — valid until the next call; values are identical to calling
-// InputBytesAt per site (integer sums are order-insensitive).
-func (s *System) inputBytesBySite(j *Job) map[string]int64 {
+// probing every (file, site) pair. Returns the reused scratch slice,
+// indexed like SiteNames and valid until the next call; values are
+// identical to calling InputBytesAt per site (integer sums are
+// order-insensitive).
+func (s *System) inputBytesBySite(j *Job) []int64 {
 	clear(s.siteBytes)
 	cat := s.ruc.Catalog()
 	for _, f := range j.Inputs {
 		size := f.Size
-		cat.EachAvailableReplica(f.LFN, func(rse string) {
-			if site, ok := s.grid.PrimarySite(rse); ok {
+		cat.EachAvailableReplica(f, func(rse int) {
+			if site := s.grid.PrimaryFor(rse); site >= 0 {
 				s.siteBytes[site] += size
 			}
 		})
@@ -395,7 +406,7 @@ func (s *System) InputBytesAt(j *Job, site string) int64 {
 	}
 	var bytes int64
 	for _, f := range j.Inputs {
-		if s.ruc.Catalog().HasReplica(f.LFN, rse.Name) {
+		if s.ruc.Catalog().HasReplica(f, rse.Name) {
 			bytes += f.Size
 		}
 	}
@@ -405,9 +416,17 @@ func (s *System) InputBytesAt(j *Job, site string) int64 {
 // SiteNames lists all brokerage candidates in stable order.
 func (s *System) SiteNames() []string { return s.siteNames }
 
+// site resolves a site name to its pilot pool, or nil for unknown names.
+func (s *System) site(name string) *siteState {
+	if i := s.grid.SiteIndex(name); i < len(s.sites) {
+		return s.sites[i]
+	}
+	return nil
+}
+
 // SiteBacklog reports the queued (not yet piloted) jobs at a site.
 func (s *System) SiteBacklog(site string) int {
-	if st, ok := s.sites[site]; ok {
+	if st := s.site(site); st != nil {
 		return len(st.backlog)
 	}
 	return 0
@@ -415,7 +434,7 @@ func (s *System) SiteBacklog(site string) int {
 
 // SiteRunning reports the executing pilots at a site.
 func (s *System) SiteRunning(site string) int {
-	if st, ok := s.sites[site]; ok {
+	if st := s.site(site); st != nil {
 		return st.running
 	}
 	return 0
@@ -423,7 +442,7 @@ func (s *System) SiteRunning(site string) int {
 
 // SiteSlots reports a site's pilot-pool capacity.
 func (s *System) SiteSlots(site string) int {
-	if st, ok := s.sites[site]; ok {
+	if st := s.site(site); st != nil {
 		return st.slots
 	}
 	return 0
@@ -448,7 +467,7 @@ func (s *System) enqueue(j *Job, rng *simtime.RNG) {
 	}
 	delay := rng.VExp(s.opts.DispatchDelayMean)
 	s.eng.After(delay, "panda.dispatch", func() {
-		st := s.sites[j.Site]
+		st := j.site
 		st.backlog = append(st.backlog, j)
 		s.pump(st)
 	})
@@ -587,7 +606,7 @@ func (s *System) finishPayload(j *Job, jr *simtime.RNG) {
 // emits the job and file records for every job of the task.
 func (s *System) terminal(j *Job) {
 	j.End = s.eng.Now()
-	st := s.sites[j.Site]
+	st := j.site
 	st.running--
 	s.pump(st)
 

@@ -53,7 +53,7 @@ func (f *fixture) seedDataset(name, site string, nfiles int, size int64) {
 		if err := f.ruc.Catalog().AddFile(file); err != nil {
 			panic(err)
 		}
-		f.ruc.Catalog().SetReplica(file.LFN, rse.Name, rucio.ReplicaAvailable)
+		f.ruc.Catalog().SetReplica(file, rse.Name, rucio.ReplicaAvailable)
 	}
 }
 
@@ -122,6 +122,33 @@ func TestTaskRunsToCompletion(t *testing.T) {
 	}
 	if f.sys.Backlog() != 0 || f.sys.Running() != 0 {
 		t.Error("pilots leaked")
+	}
+}
+
+// Replicas on a tape RSE, still copying, or at an RSE outside the grid are
+// input at no site: the per-site slice must agree with InputBytesAt, which
+// probes each site's primary disk RSE only.
+func TestInputBytesBySiteCountsPrimaryReplicasOnly(t *testing.T) {
+	f := newFixture(12, Options{})
+	f.seedDataset("data25.ds11", "BNL-ATLAS", 3, 1e9)
+	ds, _ := f.ruc.Catalog().Dataset("data25.ds11")
+	cat := f.ruc.Catalog()
+	mwt2, _ := f.grid.PrimaryRSE("MWT2")
+	cat.SetReplica(ds.Files[0], "CERN-PROD_MCTAPE", rucio.ReplicaAvailable)
+	cat.SetReplica(ds.Files[1], mwt2.Name, rucio.ReplicaCopying)
+	cat.SetReplica(ds.Files[2], "NOT-IN-GRID_DATADISK", rucio.ReplicaAvailable)
+	cat.SetReplica(ds.Files[2], mwt2.Name, rucio.ReplicaAvailable)
+	j := &Job{Inputs: ds.Files}
+	bySite := f.sys.inputBytesBySite(j)
+	for i, name := range f.sys.SiteNames() {
+		if want := f.sys.InputBytesAt(j, name); bySite[i] != want {
+			t.Errorf("%s: per-site slice %d, InputBytesAt %d", name, bySite[i], want)
+		}
+	}
+	for site, want := range map[string]int64{"BNL-ATLAS": 3e9, "MWT2": 1e9, "CERN-PROD": 0} {
+		if got := bySite[f.grid.SiteIndex(site)]; got != want {
+			t.Errorf("%s holds %d input bytes, want %d", site, got, want)
+		}
 	}
 }
 
@@ -289,7 +316,7 @@ func TestLateStartSpansQueueAndWall(t *testing.T) {
 			Dataset: "data25.ds8", ProdDBlock: "data25.ds8", Size: size,
 		}
 		f.ruc.Catalog().AddFile(file)
-		f.ruc.Catalog().SetReplica(file.LFN, rse.Name, rucio.ReplicaAvailable)
+		f.ruc.Catalog().SetReplica(file, rse.Name, rucio.ReplicaAvailable)
 	}
 	task, _ := f.sys.SubmitTask(TaskSpec{
 		Label: records.LabelUser, InputDatasets: []string{"data25.ds8"},
@@ -336,7 +363,7 @@ func TestUploadJediFraction(t *testing.T) {
 func TestSlotContentionQueuesJobs(t *testing.T) {
 	f := newFixture(11, Options{CacheHitProb: 0.999999, RemoteBrokerageProb: 1e-12})
 	// Shrink a site to 2 slots to force queueing.
-	f.sys.sites["GENOVA-T3"].slots = 2
+	f.sys.site("GENOVA-T3").slots = 2
 	f.seedDataset("data25.ds10", "GENOVA-T3", 10, 1e9)
 	task, _ := f.sys.SubmitTask(TaskSpec{
 		Label: records.LabelUser, InputDatasets: []string{"data25.ds10"},
@@ -347,7 +374,7 @@ func TestSlotContentionQueuesJobs(t *testing.T) {
 			t.Fatalf("job escaped to %s", j.Site)
 		}
 	}
-	if got := f.sys.sites["GENOVA-T3"].running; got > 2 {
+	if got := f.sys.site("GENOVA-T3").running; got > 2 {
 		t.Errorf("running=%d exceeds 2 slots", got)
 	}
 	f.eng.Run()

@@ -197,7 +197,7 @@ func (b *Background) makeDataset(prefix, srcRSE string, p sizeProfile) []*FileIn
 		if err := b.r.catalog.AddFile(f); err != nil {
 			continue
 		}
-		b.r.catalog.SetReplica(f.LFN, srcRSE, ReplicaAvailable)
+		b.r.catalog.SetReplica(f, srcRSE, ReplicaAvailable)
 	}
 	return ds.Files
 }

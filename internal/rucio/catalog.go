@@ -14,6 +14,10 @@ type FileInfo struct {
 	Dataset    string // owning dataset DID name
 	ProdDBlock string // block-level data identifier (paper Algorithm 1)
 	Size       int64
+
+	// replicas lists the file's copies in insertion order. It lives on the
+	// file so the catalog's replica operations never hash the LFN.
+	replicas []replicaEntry
 }
 
 // Dataset groups files for bulk operations.
@@ -42,10 +46,10 @@ const (
 	ReplicaAvailable
 )
 
-// replicaEntry is one file copy in the compact per-LFN replica list: an
-// interned RSE id plus the state, 4 bytes and pointer-free. Files have a
+// replicaEntry is one file copy in the compact per-file replica list: a
+// catalog RSE id plus the state, 4 bytes and pointer-free. Files have a
 // handful of replicas, so a linear scan beats a string-keyed map and the
-// GC never has to walk the (large, long-lived) replica table.
+// GC never walks the entries.
 type replicaEntry struct {
 	rse   uint16
 	state uint8
@@ -58,11 +62,9 @@ type Catalog struct {
 	datasets   map[string]*Dataset
 	containers map[string][]string // container -> dataset names
 
-	// replicas[lfn] lists the file's copies in insertion order.
-	replicas map[string][]replicaEntry
-
-	// RSE name interning for replicaEntry (a grid has at most a few
-	// hundred RSEs, far under the uint16 ceiling).
+	// RSE name interning for replicaEntry, ids in first-seen order (a grid
+	// has at most a few hundred RSEs, far under the uint16 ceiling). New
+	// registers the grid's RSEs first, so id i is the grid's RSE i.
 	rseIDs   map[string]uint16
 	rseNames []string
 }
@@ -73,7 +75,6 @@ func NewCatalog() *Catalog {
 		files:      make(map[string]*FileInfo),
 		datasets:   make(map[string]*Dataset),
 		containers: make(map[string][]string),
-		replicas:   make(map[string][]replicaEntry),
 		rseIDs:     make(map[string]uint16),
 	}
 }
@@ -142,42 +143,40 @@ func (c *Catalog) NumFiles() int { return len(c.files) }
 // NumDatasets reports the catalogued dataset count.
 func (c *Catalog) NumDatasets() int { return len(c.datasets) }
 
-// SetReplica records a file copy at an RSE in the given state, upgrading
+// SetReplica records a copy of f at an RSE in the given state, upgrading
 // any existing entry.
-func (c *Catalog) SetReplica(lfn, rse string, st ReplicaState) {
+func (c *Catalog) SetReplica(f *FileInfo, rse string, st ReplicaState) {
 	id := c.rseID(rse)
-	entries := c.replicas[lfn]
-	for i := range entries {
-		if entries[i].rse == id {
-			entries[i].state = uint8(st)
+	for i := range f.replicas {
+		if f.replicas[i].rse == id {
+			f.replicas[i].state = uint8(st)
 			return
 		}
 	}
-	c.replicas[lfn] = append(entries, replicaEntry{rse: id, state: uint8(st)})
+	f.replicas = append(f.replicas, replicaEntry{rse: id, state: uint8(st)})
 }
 
-// DropReplica removes a file copy record.
-func (c *Catalog) DropReplica(lfn, rse string) {
+// DropReplica removes the record of f's copy at an RSE.
+func (c *Catalog) DropReplica(f *FileInfo, rse string) {
 	id, ok := c.rseIDs[rse]
 	if !ok {
 		return
 	}
-	entries := c.replicas[lfn]
-	for i := range entries {
-		if entries[i].rse == id {
-			c.replicas[lfn] = append(entries[:i], entries[i+1:]...)
+	for i := range f.replicas {
+		if f.replicas[i].rse == id {
+			f.replicas = append(f.replicas[:i], f.replicas[i+1:]...)
 			return
 		}
 	}
 }
 
-// HasReplica reports whether an available replica of lfn exists at rse.
-func (c *Catalog) HasReplica(lfn, rse string) bool {
+// HasReplica reports whether an available replica of f exists at rse.
+func (c *Catalog) HasReplica(f *FileInfo, rse string) bool {
 	id, ok := c.rseIDs[rse]
 	if !ok {
 		return false
 	}
-	for _, e := range c.replicas[lfn] {
+	for _, e := range f.replicas {
 		if e.rse == id {
 			return e.state == uint8(ReplicaAvailable)
 		}
@@ -185,23 +184,25 @@ func (c *Catalog) HasReplica(lfn, rse string) bool {
 	return false
 }
 
-// EachAvailableReplica calls fn for every RSE holding an available replica
-// of lfn, in insertion order. The intended use is order-insensitive
-// accumulation, e.g. summing per-site input bytes with one replica-list
-// walk per file instead of one HasReplica probe per (file, site) pair.
-func (c *Catalog) EachAvailableReplica(lfn string, fn func(rse string)) {
-	for _, e := range c.replicas[lfn] {
+// EachAvailableReplica calls fn with the catalog RSE id of every available
+// replica of f, in insertion order. For a catalog built by New the id is
+// the RSE's index in the grid's RSEs(). The intended use is
+// order-insensitive accumulation, e.g. summing per-site input bytes with
+// one replica-list walk per file instead of one HasReplica probe per
+// (file, site) pair.
+func (c *Catalog) EachAvailableReplica(f *FileInfo, fn func(rse int)) {
+	for _, e := range f.replicas {
 		if e.state == uint8(ReplicaAvailable) {
-			fn(c.rseNames[e.rse])
+			fn(int(e.rse))
 		}
 	}
 }
 
-// FileRSEs returns the RSEs holding an available replica of lfn, sorted for
+// FileRSEs returns the RSEs holding an available replica of f, sorted for
 // determinism.
-func (c *Catalog) FileRSEs(lfn string) []string {
+func (c *Catalog) FileRSEs(f *FileInfo) []string {
 	var out []string
-	for _, e := range c.replicas[lfn] {
+	for _, e := range f.replicas {
 		if e.state == uint8(ReplicaAvailable) {
 			out = append(out, c.rseNames[e.rse])
 		}
@@ -217,7 +218,7 @@ func (c *Catalog) DatasetCompleteAt(ds *Dataset, rse string) bool {
 		return false
 	}
 	for _, f := range ds.Files {
-		if !c.HasReplica(f.LFN, rse) {
+		if !c.HasReplica(f, rse) {
 			return false
 		}
 	}
@@ -229,7 +230,7 @@ func (c *Catalog) DatasetCompleteAt(ds *Dataset, rse string) bool {
 func (c *Catalog) DatasetBytesAt(ds *Dataset, rse string) int64 {
 	var total int64
 	for _, f := range ds.Files {
-		if c.HasReplica(f.LFN, rse) {
+		if c.HasReplica(f, rse) {
 			total += f.Size
 		}
 	}

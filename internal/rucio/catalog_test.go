@@ -47,28 +47,29 @@ func TestCatalogDatasetLifecycle(t *testing.T) {
 func TestReplicaStates(t *testing.T) {
 	c := NewCatalog()
 	c.CreateDataset("user", "d", "")
-	c.AddFile(&FileInfo{LFN: "f", Dataset: "d", Size: 1})
-	if c.HasReplica("f", "RSE_A") {
+	f := &FileInfo{LFN: "f", Dataset: "d", Size: 1}
+	c.AddFile(f)
+	if c.HasReplica(f, "RSE_A") {
 		t.Error("phantom replica")
 	}
-	c.SetReplica("f", "RSE_A", ReplicaCopying)
-	if c.HasReplica("f", "RSE_A") {
+	c.SetReplica(f, "RSE_A", ReplicaCopying)
+	if c.HasReplica(f, "RSE_A") {
 		t.Error("copying replica reported available")
 	}
-	c.SetReplica("f", "RSE_A", ReplicaAvailable)
-	if !c.HasReplica("f", "RSE_A") {
+	c.SetReplica(f, "RSE_A", ReplicaAvailable)
+	if !c.HasReplica(f, "RSE_A") {
 		t.Error("available replica not found")
 	}
-	c.SetReplica("f", "RSE_B", ReplicaAvailable)
-	rses := c.FileRSEs("f")
+	c.SetReplica(f, "RSE_B", ReplicaAvailable)
+	rses := c.FileRSEs(f)
 	if len(rses) != 2 || rses[0] != "RSE_A" || rses[1] != "RSE_B" {
 		t.Errorf("FileRSEs = %v, want sorted available pair", rses)
 	}
-	c.DropReplica("f", "RSE_A")
-	if c.HasReplica("f", "RSE_A") {
+	c.DropReplica(f, "RSE_A")
+	if c.HasReplica(f, "RSE_A") {
 		t.Error("dropped replica still present")
 	}
-	c.DropReplica("ghost", "RSE_A") // must not panic
+	c.DropReplica(&FileInfo{LFN: "ghost"}, "RSE_A") // never added; must not panic
 }
 
 func TestDatasetCompleteness(t *testing.T) {
@@ -81,15 +82,15 @@ func TestDatasetCompleteness(t *testing.T) {
 	if c.DatasetCompleteAt(ds, "R") {
 		t.Error("empty-replica dataset reported complete")
 	}
-	c.SetReplica("f0", "R", ReplicaAvailable)
-	c.SetReplica("f1", "R", ReplicaAvailable)
+	c.SetReplica(ds.Files[0], "R", ReplicaAvailable)
+	c.SetReplica(ds.Files[1], "R", ReplicaAvailable)
 	if c.DatasetCompleteAt(ds, "R") {
 		t.Error("partial dataset reported complete")
 	}
 	if got := c.DatasetBytesAt(ds, "R"); got != 20 {
 		t.Errorf("DatasetBytesAt = %d, want 20", got)
 	}
-	c.SetReplica("f2", "R", ReplicaAvailable)
+	c.SetReplica(ds.Files[2], "R", ReplicaAvailable)
 	if !c.DatasetCompleteAt(ds, "R") {
 		t.Error("complete dataset reported incomplete")
 	}
@@ -103,11 +104,12 @@ func TestDatasetSites(t *testing.T) {
 	grid := topology.Default(topology.DefaultSpec{})
 	c := NewCatalog()
 	c.CreateDataset("user", "d", "")
-	c.AddFile(&FileInfo{LFN: "f", Dataset: "d", Size: 10})
+	f := &FileInfo{LFN: "f", Dataset: "d", Size: 10}
+	c.AddFile(f)
 	cern, _ := grid.PrimaryRSE("CERN-PROD")
 	bnl, _ := grid.PrimaryRSE("BNL-ATLAS")
-	c.SetReplica("f", cern.Name, ReplicaAvailable)
-	c.SetReplica("f", bnl.Name, ReplicaAvailable)
+	c.SetReplica(f, cern.Name, ReplicaAvailable)
+	c.SetReplica(f, bnl.Name, ReplicaAvailable)
 	ds, _ := c.Dataset("d")
 	sites := c.DatasetSites(ds, grid)
 	if len(sites) != 2 || sites[0] != "BNL-ATLAS" || sites[1] != "CERN-PROD" {
@@ -121,14 +123,15 @@ func TestFileRSEsProperty(t *testing.T) {
 	prop := func(ids []uint8) bool {
 		c := NewCatalog()
 		c.CreateDataset("s", "d", "")
-		c.AddFile(&FileInfo{LFN: "f", Dataset: "d", Size: 1})
+		f := &FileInfo{LFN: "f", Dataset: "d", Size: 1}
+		c.AddFile(f)
 		want := map[string]bool{}
 		for _, id := range ids {
 			rse := fmt.Sprintf("RSE%03d", id)
-			c.SetReplica("f", rse, ReplicaAvailable)
+			c.SetReplica(f, rse, ReplicaAvailable)
 			want[rse] = true
 		}
-		got := c.FileRSEs("f")
+		got := c.FileRSEs(f)
 		if len(got) != len(want) {
 			return false
 		}

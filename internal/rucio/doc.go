@@ -6,6 +6,13 @@
 // pluggable sink — the same event stream the paper queries from
 // OpenSearch.
 //
+// Replica lists live on each *FileInfo as (RSE id, state) entries, so the
+// catalog's replica operations take the file and never hash an LFN; the
+// files map remains for LFN uniqueness and File(lfn). New registers the
+// grid's RSEs with the catalog first and in order, so catalog RSE id i is
+// grid RSE i and source selection scores replicas through topology's
+// per-RSE tables; equal scores go to the smaller RSE name.
+//
 // Entry points: New binds the catalog to an engine, grid, network, and
 // event sink (sim.Run interposes the corruption layer there);
 // StartBackground adds the non-job traffic — Tier-0 export, rebalancing,

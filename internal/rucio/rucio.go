@@ -55,11 +55,18 @@ type Rucio struct {
 }
 
 // New constructs the Rucio substrate. sink may be nil (events dropped).
+// The catalog registers the grid's RSEs first and in order, so catalog RSE
+// id i is grid RSE i and replica walks resolve sites through the grid's
+// per-RSE tables.
 func New(eng *simtime.Engine, grid *topology.Grid, net *netsim.Network, rng *simtime.RNG, opts Options, sink EventSink) *Rucio {
 	opts.fill()
+	catalog := NewCatalog()
+	for _, x := range grid.RSEs() {
+		catalog.rseID(x.Name)
+	}
 	return &Rucio{
 		eng: eng, grid: grid, net: net, rng: rng, opts: opts,
-		catalog:        NewCatalog(),
+		catalog:        catalog,
 		sink:           sink,
 		sequentialSite: make(map[string]bool),
 	}
@@ -100,36 +107,43 @@ func (r *Rucio) siteOfRSE(rse string) string {
 	return topology.UnknownSite
 }
 
-// chooseSource picks the best available source RSE for a file destined for
-// dstSite: prefer an RSE at the destination site, then the highest-bandwidth
-// link, breaking ties deterministically by name.
-func (r *Rucio) chooseSource(lfn, dstSite string) (string, bool) {
-	rses := r.catalog.FileRSEs(lfn)
-	if len(rses) == 0 {
-		return "", false
-	}
-	best := ""
-	bestScore := -1.0
-	for _, rse := range rses {
-		site := r.siteOfRSE(rse)
-		score := topology.LinkGbps(r.grid, site, dstSite)
-		if site == dstSite {
+// chooseSource picks the best available source replica of f for the site
+// at index dst (Grid.SiteIndex): prefer an RSE at the destination site,
+// then the highest-bandwidth link; equal scores go to the smaller RSE name.
+// It returns the source's catalog RSE id.
+func (r *Rucio) chooseSource(f *FileInfo, dst int) (int, bool) {
+	names := r.catalog.rseNames
+	best, bestScore := -1, 0.0
+	for _, e := range f.replicas {
+		if e.state != uint8(ReplicaAvailable) {
+			continue
+		}
+		id := int(e.rse)
+		site := r.grid.RSESite(id)
+		score := r.grid.SiteLinkGbps(site, dst)
+		if site == dst {
 			score += 1e6 // local replicas always win
-			if x, _ := r.grid.RSE(rse); x != nil && x.Kind == topology.Tape {
+			if r.tapeRSE(id) {
 				score -= 5e5 // but disk beats tape
 			}
 		}
-		if score > bestScore {
-			best, bestScore = rse, score
+		if best < 0 || score > bestScore || (score == bestScore && names[id] < names[best]) {
+			best, bestScore = id, score
 		}
 	}
-	return best, true
+	return best, best >= 0
+}
+
+// tapeRSE reports whether catalog RSE id is one of the grid's tape RSEs.
+func (r *Rucio) tapeRSE(id int) bool {
+	rses := r.grid.RSEs()
+	return id < len(rses) && rses[id].Kind == topology.Tape
 }
 
 // transferSpec is the internal unit the transfer engine executes.
 type transferSpec struct {
 	file     *FileInfo
-	srcRSE   string
+	src      int    // catalog RSE id of the source replica
 	dstRSE   string // empty for worker-scratch downloads
 	dstSite  string
 	activity records.Activity
@@ -142,12 +156,13 @@ type transferSpec struct {
 
 // execute runs one file transfer through the network and emits its event.
 func (r *Rucio) execute(sp transferSpec) {
-	srcSite := r.siteOfRSE(sp.srcRSE)
+	srcRSE := r.catalog.rseNames[sp.src]
+	srcSite := r.grid.AxisLabel(r.grid.RSESite(sp.src))
 	submitted := r.eng.Now()
 	start := func() {
 		r.net.Start(srcSite, sp.dstSite, sp.file.Size, func(tr *netsim.Transfer) {
 			if sp.register && sp.dstRSE != "" {
-				r.catalog.SetReplica(sp.file.LFN, sp.dstRSE, ReplicaAvailable)
+				r.catalog.SetReplica(sp.file, sp.dstRSE, ReplicaAvailable)
 			}
 			ev := &records.TransferEvent{
 				LFN:             sp.file.LFN,
@@ -155,7 +170,7 @@ func (r *Rucio) execute(sp transferSpec) {
 				Dataset:         sp.file.Dataset,
 				ProdDBlock:      sp.file.ProdDBlock,
 				FileSize:        sp.file.Size,
-				SourceRSE:       sp.srcRSE,
+				SourceRSE:       srcRSE,
 				DestinationRSE:  sp.dstRSE,
 				SourceSite:      srcSite,
 				DestinationSite: sp.dstSite,
@@ -175,7 +190,7 @@ func (r *Rucio) execute(sp transferSpec) {
 		})
 	}
 	// Tape sources pay a staging latency before the network movement.
-	if x, ok := r.grid.RSE(sp.srcRSE); ok && x.Kind == topology.Tape {
+	if r.tapeRSE(sp.src) {
 		r.eng.After(r.rng.VExp(r.opts.TapeStageLatency), "rucio.tapestage", start)
 	} else {
 		start()
@@ -188,6 +203,7 @@ func (r *Rucio) execute(sp transferSpec) {
 // replica anywhere are counted in the returned missing count and skipped.
 func (r *Rucio) EnsureReplicas(files []*FileInfo, dstRSE string, activity records.Activity, jedi int64, onComplete func()) (missing int) {
 	dstSite := r.siteOfRSE(dstRSE)
+	dst := r.grid.SiteIndex(dstSite)
 	var pending int
 	var fired bool
 	finish := func() {
@@ -199,18 +215,18 @@ func (r *Rucio) EnsureReplicas(files []*FileInfo, dstRSE string, activity record
 		}
 	}
 	for _, f := range files {
-		if r.catalog.HasReplica(f.LFN, dstRSE) {
+		if r.catalog.HasReplica(f, dstRSE) {
 			continue
 		}
-		src, ok := r.chooseSource(f.LFN, dstSite)
+		src, ok := r.chooseSource(f, dst)
 		if !ok {
 			missing++
 			continue
 		}
 		pending++
-		r.catalog.SetReplica(f.LFN, dstRSE, ReplicaCopying)
+		r.catalog.SetReplica(f, dstRSE, ReplicaCopying)
 		r.execute(transferSpec{
-			file: f, srcRSE: src, dstRSE: dstRSE, dstSite: dstSite,
+			file: f, src: src, dstRSE: dstRSE, dstSite: dstSite,
 			activity: activity, jedi: jedi, register: true, download: true,
 			onDone: func(*records.TransferEvent) {
 				pending--
@@ -236,14 +252,15 @@ func (r *Rucio) PilotFetch(files []*FileInfo, site string, activity records.Acti
 // which launches the payload after the first file lands).
 func (r *Rucio) PilotFetchEach(files []*FileInfo, site string, activity records.Activity, jedi int64, onFile func(*records.TransferEvent), onComplete func()) (missing int) {
 	var specs []transferSpec
+	dst := r.grid.SiteIndex(site)
 	for _, f := range files {
-		src, ok := r.chooseSource(f.LFN, site)
+		src, ok := r.chooseSource(f, dst)
 		if !ok {
 			missing++
 			continue
 		}
 		specs = append(specs, transferSpec{
-			file: f, srcRSE: src, dstSite: site,
+			file: f, src: src, dstSite: site,
 			activity: activity, jedi: jedi, download: true,
 		})
 	}
@@ -293,9 +310,9 @@ func (r *Rucio) PilotFetchEach(files []*FileInfo, site string, activity records.
 func (r *Rucio) Upload(f *FileInfo, fromSite, dstRSE string, activity records.Activity, jedi int64, onComplete func(ev *records.TransferEvent)) {
 	dstSite := r.siteOfRSE(dstRSE)
 	submitted := r.eng.Now()
-	r.catalog.SetReplica(f.LFN, dstRSE, ReplicaCopying)
+	r.catalog.SetReplica(f, dstRSE, ReplicaCopying)
 	r.net.Start(fromSite, dstSite, f.Size, func(tr *netsim.Transfer) {
-		r.catalog.SetReplica(f.LFN, dstRSE, ReplicaAvailable)
+		r.catalog.SetReplica(f, dstRSE, ReplicaAvailable)
 		ev := &records.TransferEvent{
 			LFN:             f.LFN,
 			Scope:           f.Scope,

@@ -41,7 +41,7 @@ func (f *fixture) addDataset(name string, sizes []int64, rse string) []*FileInfo
 			panic(err)
 		}
 		if rse != "" {
-			f.r.Catalog().SetReplica(file.LFN, rse, ReplicaAvailable)
+			f.r.Catalog().SetReplica(file, rse, ReplicaAvailable)
 		}
 	}
 	ds, _ := f.r.Catalog().Dataset(name)
@@ -54,7 +54,7 @@ func TestEnsureReplicasCopiesMissing(t *testing.T) {
 	bnl, _ := f.grid.PrimaryRSE("BNL-ATLAS")
 	files := f.addDataset("user.ds1", []int64{2e9, 3e9}, cern.Name)
 	// Pre-place one file at the destination: only the other should move.
-	f.r.Catalog().SetReplica(files[0].LFN, bnl.Name, ReplicaAvailable)
+	f.r.Catalog().SetReplica(files[0], bnl.Name, ReplicaAvailable)
 	done := false
 	missing := f.r.EnsureReplicas(files, bnl.Name, records.DataRebalancing, 0, func() { done = true })
 	if missing != 0 {
@@ -74,7 +74,7 @@ func TestEnsureReplicasCopiesMissing(t *testing.T) {
 	if ev.Activity != records.DataRebalancing || !ev.IsDownload {
 		t.Errorf("activity/%v download/%v", ev.Activity, ev.IsDownload)
 	}
-	if !f.r.Catalog().HasReplica(files[1].LFN, bnl.Name) {
+	if !f.r.Catalog().HasReplica(files[1], bnl.Name) {
 		t.Error("replica not registered after transfer")
 	}
 	if ev.JediTaskID != 0 {
@@ -189,17 +189,17 @@ func TestChooseSourcePrefersLocalDisk(t *testing.T) {
 	cernDisk, _ := f.grid.PrimaryRSE("CERN-PROD")
 	files := f.addDataset("user.ds8", []int64{1e9}, cernDisk.Name)
 	// Also place at remote and at local tape; local disk must win.
-	f.r.Catalog().SetReplica(files[0].LFN, "BNL-ATLAS_DATADISK", ReplicaAvailable)
-	f.r.Catalog().SetReplica(files[0].LFN, "CERN-PROD_MCTAPE", ReplicaAvailable)
-	src, ok := f.r.chooseSource(files[0].LFN, "CERN-PROD")
+	f.r.Catalog().SetReplica(files[0], "BNL-ATLAS_DATADISK", ReplicaAvailable)
+	f.r.Catalog().SetReplica(files[0], "CERN-PROD_MCTAPE", ReplicaAvailable)
+	src, ok := f.r.ChooseSource(files[0], "CERN-PROD")
 	if !ok || src != cernDisk.Name {
 		t.Errorf("chooseSource = %q, want local disk", src)
 	}
 	// Without a local replica, the best-connected remote wins over a weak one.
-	f.r.Catalog().DropReplica(files[0].LFN, cernDisk.Name)
-	f.r.Catalog().DropReplica(files[0].LFN, "CERN-PROD_MCTAPE")
-	f.r.Catalog().SetReplica(files[0].LFN, "WEIZMANN-T3_DATADISK", ReplicaAvailable)
-	src, _ = f.r.chooseSource(files[0].LFN, "CERN-PROD")
+	f.r.Catalog().DropReplica(files[0], cernDisk.Name)
+	f.r.Catalog().DropReplica(files[0], "CERN-PROD_MCTAPE")
+	f.r.Catalog().SetReplica(files[0], "WEIZMANN-T3_DATADISK", ReplicaAvailable)
+	src, _ = f.r.ChooseSource(files[0], "CERN-PROD")
 	if src != "BNL-ATLAS_DATADISK" {
 		t.Errorf("chooseSource = %q, want best-connected remote", src)
 	}
@@ -223,7 +223,7 @@ func TestUploadRegistersAndEmits(t *testing.T) {
 	if got.SourceSite != "BNL-ATLAS" || got.DestinationSite != "BNL-ATLAS" {
 		t.Errorf("route %s->%s", got.SourceSite, got.DestinationSite)
 	}
-	if !f.r.Catalog().HasReplica(out.LFN, bnl.Name) {
+	if !f.r.Catalog().HasReplica(out, bnl.Name) {
 		t.Error("output replica not registered")
 	}
 }
@@ -233,7 +233,7 @@ func TestTapeSourceAddsLatency(t *testing.T) {
 	f.r.Catalog().CreateDataset("ops", "ops.tape1", "")
 	file := &FileInfo{LFN: "ops.tape1.f0", Scope: "ops", Dataset: "ops.tape1", ProdDBlock: "ops.tape1", Size: 1e9}
 	f.r.Catalog().AddFile(file)
-	f.r.Catalog().SetReplica(file.LFN, "CERN-PROD_MCTAPE", ReplicaAvailable)
+	f.r.Catalog().SetReplica(file, "CERN-PROD_MCTAPE", ReplicaAvailable)
 	bnl, _ := f.grid.PrimaryRSE("BNL-ATLAS")
 	f.r.EnsureReplicas([]*FileInfo{file}, bnl.Name, records.DataConsolidation, 0, nil)
 	f.eng.Run()

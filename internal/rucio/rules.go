@@ -134,8 +134,8 @@ func (e *RuleEngine) Sweep() int {
 					delete(m, rule.RSE)
 				}
 			}
-			if !e.Protected(f.LFN, rule.RSE, now) && e.r.Catalog().HasReplica(f.LFN, rule.RSE) {
-				e.r.Catalog().DropReplica(f.LFN, rule.RSE)
+			if !e.Protected(f.LFN, rule.RSE, now) && e.r.Catalog().HasReplica(f, rule.RSE) {
+				e.r.Catalog().DropReplica(f, rule.RSE)
 				reaped++
 			}
 		}

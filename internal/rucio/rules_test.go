@@ -50,7 +50,8 @@ func TestRuleExpiryAndReaping(t *testing.T) {
 	bnl, _ := f.grid.PrimaryRSE("BNL-ATLAS")
 	f.addDataset("data25.rule2", []int64{1e9}, cern.Name)
 	ds, _ := f.r.Catalog().Dataset("data25.rule2")
-	lfn := ds.Files[0].LFN
+	file := ds.Files[0]
+	lfn := file.LFN
 
 	e := NewRuleEngine(f.r)
 	e.AddRule("data25.rule2", bnl.Name, simtime.Hour, records.DataRebalancing, nil)
@@ -58,7 +59,7 @@ func TestRuleExpiryAndReaping(t *testing.T) {
 	if got := e.Sweep(); got != 0 {
 		t.Fatalf("reaper reclaimed %d replicas before expiry", got)
 	}
-	if !f.r.Catalog().HasReplica(lfn, bnl.Name) {
+	if !f.r.Catalog().HasReplica(file, bnl.Name) {
 		t.Fatal("replica missing before expiry")
 	}
 	f.eng.RunUntil(2 * simtime.Hour)
@@ -71,12 +72,12 @@ func TestRuleExpiryAndReaping(t *testing.T) {
 	if got := e.Sweep(); got != 1 {
 		t.Fatalf("reaper reclaimed %d, want 1", got)
 	}
-	if f.r.Catalog().HasReplica(lfn, bnl.Name) {
+	if f.r.Catalog().HasReplica(file, bnl.Name) {
 		t.Fatal("replica survived reaping")
 	}
 	// Source replica is untouched (no rule ever covered it... and no rule
 	// expired there).
-	if !f.r.Catalog().HasReplica(lfn, cern.Name) {
+	if !f.r.Catalog().HasReplica(file, cern.Name) {
 		t.Fatal("reaper deleted the source replica")
 	}
 	if e.RulesExpired != 1 || e.ReplicasReaped != 1 {
@@ -90,7 +91,8 @@ func TestOverlappingRulesKeepProtection(t *testing.T) {
 	bnl, _ := f.grid.PrimaryRSE("BNL-ATLAS")
 	f.addDataset("data25.rule3", []int64{1e9}, cern.Name)
 	ds, _ := f.r.Catalog().Dataset("data25.rule3")
-	lfn := ds.Files[0].LFN
+	file := ds.Files[0]
+	lfn := file.LFN
 
 	e := NewRuleEngine(f.r)
 	e.AddRule("data25.rule3", bnl.Name, simtime.Hour, records.DataRebalancing, nil)
@@ -99,7 +101,7 @@ func TestOverlappingRulesKeepProtection(t *testing.T) {
 	if got := e.Sweep(); got != 0 {
 		t.Fatalf("reaper reclaimed %d despite a live overlapping rule", got)
 	}
-	if !f.r.Catalog().HasReplica(lfn, bnl.Name) {
+	if !f.r.Catalog().HasReplica(file, bnl.Name) {
 		t.Fatal("protected replica deleted")
 	}
 	if !e.Protected(lfn, bnl.Name, f.eng.Now()) {
@@ -136,7 +138,7 @@ func TestReaperDaemonSweepsPeriodically(t *testing.T) {
 	e.AddRule("data25.rule5", bnl.Name, simtime.Hour, records.DataRebalancing, nil)
 	e.StartReaper(30 * simtime.Minute)
 	f.eng.Run()
-	if f.r.Catalog().HasReplica(ds.Files[0].LFN, bnl.Name) {
+	if f.r.Catalog().HasReplica(ds.Files[0], bnl.Name) {
 		t.Fatal("reaper daemon never reclaimed the expired replica")
 	}
 	if e.ReplicasReaped != 1 {

@@ -12,6 +12,14 @@
 // RNG.Split derives independent named streams so each subsystem owns its
 // randomness.
 //
+// The queue is a concrete binary heap whose slots hold the (time, seq) key
+// inline beside the *Event, so ordering never dereferences an event or
+// boxes through an interface. seq is unique per engine, which makes the
+// order total: same-instant events fire FIFO. Cancellation is lazy — a
+// cancelled event stays queued (Pending counts it) until it reaches the
+// head, where Step and RunUntil drop it. FuzzEngineOrder holds the engine
+// to a reference that stable-sorts a plain slice by time.
+//
 // Streams are identical to math/rand.NewSource(seed): for every seed, an
 // RNG draws exactly what rand.New(rand.NewSource(seed)) would, through
 // every helper and across Reseed and SplitInto. The source behind RNG

@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 )
@@ -14,8 +13,6 @@ type Event struct {
 	Run  func()
 	Name string // optional label for debugging and tracing
 
-	seq       uint64
-	index     int
 	cancelled bool
 }
 
@@ -26,33 +23,68 @@ func (e *Event) Cancel() { e.cancelled = true }
 // Cancelled reports whether the event was cancelled before firing.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-type eventHeap []*Event
+// queued is one event-queue slot: the (time, seq) key sits inline beside
+// the event, so ordering two slots never dereferences an event.
+type queued struct {
+	at  VTime
+	seq uint64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+func (a queued) before(b queued) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a binary min-heap of slots in (time, seq) order. Sequence
+// numbers are unique, so the order is total and every correct heap pops
+// the same sequence.
+type eventQueue []queued
+
+// push adds a slot, sifting it up from the end.
+func (q *eventQueue) push(x queued) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = x
+	*q = h
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest slot's event; the queue must be
+// non-empty. The last slot moves into the root's hole and sifts down.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0].ev
+	n := len(h) - 1
+	last := h[n]
+	h[n] = queued{} // drop the event pointer for the GC
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // ErrPastEvent is returned when scheduling before the current virtual time.
@@ -62,7 +94,7 @@ var ErrPastEvent = errors.New("simtime: cannot schedule event in the past")
 // usable; construct with NewEngine.
 type Engine struct {
 	clock   *Clock
-	queue   eventHeap
+	queue   eventQueue
 	nextSeq uint64
 	fired   uint64
 	horizon VTime // exclusive end of simulation; events at/after it never run
@@ -97,9 +129,9 @@ func (e *Engine) At(t VTime, name string, fn func()) (*Event, error) {
 	if t < e.clock.Now() {
 		return nil, ErrPastEvent
 	}
-	ev := &Event{At: t, Run: fn, Name: name, seq: e.nextSeq}
+	ev := &Event{At: t, Run: fn, Name: name}
+	e.queue.push(queued{at: t, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
 	return ev, nil
 }
 
@@ -119,10 +151,11 @@ func (e *Engine) After(d VTime, name string, fn func()) *Event {
 
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty or the next event lies at/after the horizon (in which case
-// the clock advances to the horizon).
+// the clock advances to the horizon). Cancelled events are dropped as they
+// reach the head.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.cancelled {
 			continue
 		}
@@ -155,12 +188,12 @@ func (e *Engine) RunUntil(t VTime) {
 		t = e.horizon
 	}
 	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if ev.cancelled {
-			heap.Pop(&e.queue)
+		head := e.queue[0]
+		if head.ev.cancelled {
+			e.queue.pop()
 			continue
 		}
-		if ev.At >= t {
+		if head.at >= t {
 			break
 		}
 		e.Step()

@@ -309,3 +309,35 @@ func TestRNGUniformBoundsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkEngineQueue measures the event queue alone. A steady population
+// of pending events fires one by one, each firing schedules its successor,
+// and every eighth firing also schedules an event and cancels it, so one
+// push in nine (11%) is popped cancelled — the rate a PaperConfig(1) run
+// shows, nearly all from netsim wake-ups. One op is one fired event.
+func BenchmarkEngineQueue(b *testing.B) {
+	const live = 1024
+	e := NewEngine(0, 0)
+	x := uint64(1)
+	delay := func() VTime { // 1..1024 s from a 64-bit LCG
+		x = x*6364136223846793005 + 1442695040888963407
+		return VTime(1 + x>>54)
+	}
+	k := 0
+	var tick func()
+	tick = func() {
+		e.After(delay(), "bench", tick)
+		if k++; k%8 == 0 {
+			e.After(delay(), "bench", tick).Cancel()
+		}
+	}
+	for range live {
+		e.After(delay(), "bench", tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		e.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}

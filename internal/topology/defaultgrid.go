@@ -136,15 +136,35 @@ func Default(spec DefaultSpec) *Grid {
 // inter-region distance. Links to or from unknown endpoints get a modest
 // default so corrupted metadata still corresponds to simulable transfers.
 func LinkGbps(g *Grid, src, dst string) float64 {
-	if src == dst {
-		if s, ok := g.Site(src); ok {
-			return s.LANGbps
+	ss, _ := g.Site(src)
+	ds, _ := g.Site(dst)
+	return linkGbps(ss, ds, src == dst)
+}
+
+// SiteLinkGbps is LinkGbps over site indices (SiteIndex, RSESite), where
+// len(Sites()) stands for every endpoint outside the grid.
+func (g *Grid) SiteLinkGbps(src, dst int) float64 {
+	return linkGbps(g.siteAt(src), g.siteAt(dst), src == dst)
+}
+
+// siteAt returns site i, or nil for an index outside Sites().
+func (g *Grid) siteAt(i int) *Site {
+	if i >= 0 && i < len(g.sites) {
+		return g.sites[i]
+	}
+	return nil
+}
+
+// linkGbps is the LinkGbps rule over resolved endpoints (nil when unknown);
+// same reports whether the two endpoints are one site.
+func linkGbps(ss, ds *Site, same bool) float64 {
+	if same {
+		if ss != nil {
+			return ss.LANGbps
 		}
 		return 10
 	}
-	ss, okS := g.Site(src)
-	ds, okD := g.Site(dst)
-	if !okS || !okD {
+	if ss == nil || ds == nil {
 		return 5
 	}
 	bw := ss.WANGbps

@@ -90,12 +90,16 @@ type Grid struct {
 	rseByNm map[string]*RSE
 	order   map[string]int // site name -> stable index (heatmap axes)
 
-	// primary/primaryOf cache the site <-> primary-RSE relation, which is
-	// fixed at construction (RSE membership never changes after NewGrid).
-	// PrimaryRSE sits on the brokerage hot path — every job scores every
-	// candidate site — so it must not rescan the site's RSE list per call.
-	primary   map[string]*RSE   // site name -> its primary RSE
-	primaryOf map[string]string // RSE name -> site it is primary for
+	// primary caches each site's primary RSE, fixed at construction (RSE
+	// membership never changes after NewGrid).
+	primary map[string]*RSE // site name -> its primary RSE
+
+	// Per-RSE tables indexed by position in rses, so the models' replica
+	// walks map an RSE id to its site without hashing a name: rseSite[i]
+	// is the site index holding RSE i, and primaryFor[i] the index of the
+	// site whose primary RSE is RSE i, or -1.
+	rseSite    []int
+	primaryFor []int
 }
 
 // NewGrid builds a grid from a site list. Site names must be unique; RSE
@@ -136,11 +140,18 @@ func NewGrid(sites []*Site, rses []*RSE) (*Grid, error) {
 	}
 	g.order[UnknownSite] = len(g.sites)
 	g.primary = make(map[string]*RSE, len(g.sites))
-	g.primaryOf = make(map[string]string, len(g.sites))
 	for _, s := range g.sites {
 		if r, ok := g.findPrimaryRSE(s); ok {
 			g.primary[s.Name] = r
-			g.primaryOf[r.Name] = s.Name
+		}
+	}
+	g.rseSite = make([]int, len(g.rses))
+	g.primaryFor = make([]int, len(g.rses))
+	for i, r := range g.rses {
+		g.rseSite[i] = g.order[r.Site]
+		g.primaryFor[i] = -1
+		if g.primary[r.Site] == r {
+			g.primaryFor[i] = g.rseSite[i]
 		}
 	}
 	return g, nil
@@ -164,8 +175,29 @@ func (g *Grid) findPrimaryRSE(s *Site) (*RSE, bool) {
 // Sites returns all sites in stable index order.
 func (g *Grid) Sites() []*Site { return g.sites }
 
-// RSEs returns all storage elements.
+// RSEs returns all storage elements in stable index order: an RSE's
+// position here is its id in RSESite, PrimaryFor and the Rucio catalog.
 func (g *Grid) RSEs() []*RSE { return g.rses }
+
+// RSESite returns the index of the site holding RSE i (an index into
+// RSEs()); any other i maps to the UNKNOWN axis, like an unrecognized name
+// in SiteIndex.
+func (g *Grid) RSESite(i int) int {
+	if i >= 0 && i < len(g.rseSite) {
+		return g.rseSite[i]
+	}
+	return len(g.sites)
+}
+
+// PrimaryFor returns the index of the site whose primary RSE is RSE i, or
+// -1 when RSE i is primary for no site (or i is not an RSE index) — the
+// inverse of PrimaryRSE, used to attribute a file's replicas to sites.
+func (g *Grid) PrimaryFor(i int) int {
+	if i >= 0 && i < len(g.primaryFor) {
+		return g.primaryFor[i]
+	}
+	return -1
+}
 
 // Site looks up a site by name; ok is false for unknown names (including
 // the UNKNOWN pseudo-site, which is not a real site).
@@ -208,14 +240,6 @@ func (g *Grid) AxisLabel(i int) string {
 func (g *Grid) PrimaryRSE(site string) (*RSE, bool) {
 	r, ok := g.primary[site]
 	return r, ok
-}
-
-// PrimarySite returns the site for which the named RSE is the primary RSE,
-// or ok=false when it is primary for none — the inverse of PrimaryRSE, used
-// to invert per-site replica probes into per-replica site attribution.
-func (g *Grid) PrimarySite(rse string) (string, bool) {
-	s, ok := g.primaryOf[rse]
-	return s, ok
 }
 
 // SitesByTier returns the names of all sites of the given tier, sorted.

@@ -190,7 +190,7 @@ func (g *Generator) seedCatalog() {
 				continue
 			}
 			for _, file := range ds.Files {
-				g.ruc.Catalog().SetReplica(file.LFN, rse.Name, rucio.ReplicaAvailable)
+				g.ruc.Catalog().SetReplica(file, rse.Name, rucio.ReplicaAvailable)
 			}
 		}
 		g.datasets = append(g.datasets, name)
