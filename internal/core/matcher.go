@@ -167,10 +167,10 @@ func NewMatcher(store *metastore.Store) *Matcher { return &Matcher{store: store}
 // MatchJob applies the chosen strategy to one job and returns its matched
 // transfer events (nil when unmatched). This is Algorithm 1 with the
 // RM1/RM2 relaxations switchable. It works mid-run on a live (un-frozen)
-// store — the segmented store resolves join entries from its incremental
-// indices — as well as on a frozen one, where the pre-resolved entries
-// make the probe allocation-free; the two answer identically for the same
-// ingested prefix (see the cut-point equivalence tests).
+// store as well as on a frozen one: the store binds each file row to its
+// candidate bucket at ingest, so the probe is allocation-free either way
+// and answers identically for the same ingested prefix (see the cut-point
+// equivalence tests).
 //
 // Candidate generation probes the metastore's per-task composite join-key
 // index with each JEDI file row instead of scanning the task's whole
@@ -189,7 +189,7 @@ func (m *Matcher) MatchJob(j *records.JobRecord, method Method) []*records.Trans
 	// join-key-matched, so only the method-dependent size check remains.
 	var set []*records.TransferEvent
 	for _, e := range entries {
-		for _, ev := range e.Candidates {
+		for _, ev := range e.Candidates() {
 			if method == Exact && ev.FileSize != e.File.FileSize {
 				continue
 			}

@@ -62,15 +62,9 @@ func RepairStore(store *metastore.Store, grid *topology.Grid, rm2 *Result) (*met
 	}
 
 	repaired := metastore.NewSharded(store.ShardCount())
-	for _, j := range store.Jobs(0, 1<<62, "") {
+	jobs := store.Jobs(0, 1<<62, "")
+	for _, j := range jobs {
 		repaired.PutJob(j)
-	}
-	// File records have no windowed accessor by design; re-derive them per
-	// job through the job index.
-	for _, j := range store.Jobs(0, 1<<62, "") {
-		for _, f := range store.FilesForJob(j.PandaID, j.JediTaskID) {
-			repaired.PutFile(f)
-		}
 	}
 	for _, ev := range store.Transfers(0, 0) {
 		if f, ok := fixes[ev.EventID]; ok {
@@ -85,6 +79,15 @@ func RepairStore(store *metastore.Store, grid *topology.Grid, rm2 *Result) (*met
 			continue
 		}
 		repaired.PutTransfer(ev)
+	}
+	// File records have no windowed accessor by design; re-derive them per
+	// job through the job index. They go in after the transfers so every
+	// row finds its candidate bucket already built when it is put; file
+	// rows carry no ingestion sequence, so the order changes no result.
+	for _, j := range jobs {
+		for _, f := range store.FilesForJob(j.PandaID, j.JediTaskID) {
+			repaired.PutFile(f)
+		}
 	}
 	return repaired, st
 }

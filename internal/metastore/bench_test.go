@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"panrucio/internal/metastore"
 	"panrucio/internal/records"
@@ -15,6 +16,11 @@ import (
 // transfers share scope/dataset/proddblock strings within the task — the
 // string-sharing profile the intern table exploits.
 func ingestWorkload(s *metastore.Store, tasks, jobsPerTask, filesPerJob int) int {
+	return ingestWorkloadEach(s, tasks, jobsPerTask, filesPerJob, func() {})
+}
+
+// ingestWorkloadEach is ingestWorkload calling afterPut after every put.
+func ingestWorkloadEach(s *metastore.Store, tasks, jobsPerTask, filesPerJob int, afterPut func()) int {
 	events := 0
 	eventID := int64(1)
 	for t := 1; t <= tasks; t++ {
@@ -29,6 +35,7 @@ func ingestWorkload(s *metastore.Store, tasks, jobsPerTask, filesPerJob int) int
 					LFN: lfn, Scope: scope, Dataset: ds, ProdDBlock: ds,
 					FileSize: int64(1e9 + fn), Kind: records.FileInput,
 				})
+				afterPut()
 				s.PutTransfer(&records.TransferEvent{
 					EventID: eventID, LFN: lfn, Scope: scope, Dataset: ds, ProdDBlock: ds,
 					FileSize: int64(1e9 + fn), SourceRSE: "CERN-PROD_DATADISK",
@@ -38,6 +45,7 @@ func ingestWorkload(s *metastore.Store, tasks, jobsPerTask, filesPerJob int) int
 					JediTaskID: int64(t),
 					StartedAt:  simtime.VTime(1000 + fn*10), EndedAt: simtime.VTime(1100 + fn*10),
 				})
+				afterPut()
 				eventID++
 				events++
 			}
@@ -47,6 +55,7 @@ func ingestWorkload(s *metastore.Store, tasks, jobsPerTask, filesPerJob int) int
 				CreationTime: 500, StartTime: 2000, EndTime: simtime.VTime(9000 + jn),
 				Status: records.JobFinished, TaskStatus: records.TaskDone,
 			})
+			afterPut()
 		}
 	}
 	s.Freeze()
@@ -80,6 +89,36 @@ func BenchmarkStoreIngest(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(events/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(liveB/events, "live_B/event")
+}
+
+// refreezeRows is BenchmarkStoreRefreeze's checkpoint interval: 34 freezes
+// over the 34,000-row stream, about the 31 a live server makes over a
+// PaperConfig run at its 6-hour cadence.
+const refreezeRows = 1000
+
+// BenchmarkStoreRefreeze ingests BenchmarkStoreIngest's stream with a
+// Freeze every refreezeRows rows, the checkpoint pattern of a live server.
+// It reports the cost per ingested row (ns/row) and the share of it spent
+// inside Freeze (freeze_frac): a Freeze that redid work over every row
+// held would make the share grow with the stream.
+func BenchmarkStoreRefreeze(b *testing.B) {
+	b.ReportAllocs()
+	var rows int
+	var freeze time.Duration
+	for i := 0; i < b.N; i++ {
+		s := metastore.New()
+		ingestWorkloadEach(s, 200, 10, 8, func() {
+			rows++
+			if rows%refreezeRows == 0 {
+				t0 := time.Now()
+				s.Freeze()
+				freeze += time.Since(t0)
+			}
+		})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+	b.ReportMetric(freeze.Seconds()/b.Elapsed().Seconds(), "freeze_frac")
 }
 
 // BenchmarkStoreIngestIncremental is BenchmarkStoreIngest on the

@@ -208,9 +208,6 @@ func (m *AuditMark) at(n int) {
 // auditRun checks one sealed run against its commitment: length against
 // the committed count, then every committed row's hash.
 func auditRun[T any](seg *segRun[T], hash func(*T, uint32) uint64, ref SegmentRef, rep *AuditReport) {
-	if seg.hashes == nil {
-		return // uncommitted (hashing disabled); nothing to check
-	}
 	rep.Segments++
 	if len(seg.rows) < seg.committed {
 		rep.Violations = append(rep.Violations, Violation{
@@ -239,9 +236,6 @@ func auditRun[T any](seg *segRun[T], hash func(*T, uint32) uint64, ref SegmentRe
 // O(1)).
 func auditWindowRun[T any](seg *segRun[T], hash func(*T, uint32) uint64, at func(*T) simtime.VTime,
 	from, to simtime.VTime, ref SegmentRef, rep *AuditReport) {
-	if seg.hashes == nil {
-		return
-	}
 	rep.Segments++
 	if len(seg.rows) < seg.committed {
 		rep.Violations = append(rep.Violations, Violation{
@@ -428,18 +422,27 @@ func (s *Store) SealedJobSegments(fn func(ref SegmentRef, rows []*records.JobRec
 // of rows actually dropped (0 when the ref does not resolve). A
 // fault-injection seam for internal/verify and the tests; never called by
 // the store itself.
+//
+// The store-level time indices still hold the dropped rows, so the next
+// Freeze rebuilds them from every sealed run rather than merging only the
+// runs sealed since the last one: ranged reads of a frozen store serve
+// the dropped rows until further ingest and a Freeze rebuild them without.
 func (s *Store) TruncateSealed(ref SegmentRef, drop int) int {
 	if ref.Shard < 0 || ref.Shard >= len(s.shards) || drop <= 0 {
 		return 0
 	}
 	sh := s.shards[ref.Shard]
+	n := 0
 	switch ref.Arena {
 	case ArenaJobs:
-		return truncateRun(&sh.jobSegs, ref.Segment, drop)
+		n = truncateRun(&sh.jobSegs, ref.Segment, drop)
 	case ArenaEvents:
-		return truncateRun(&sh.evSegs, ref.Segment, drop)
+		n = truncateRun(&sh.evSegs, ref.Segment, drop)
 	}
-	return 0
+	if n > 0 {
+		s.rebuild = true
+	}
+	return n
 }
 
 func truncateRun[T any](x *segIndex[T], seg, drop int) int {
@@ -454,8 +457,6 @@ func truncateRun[T any](x *segIndex[T], seg, drop int) int {
 	n := len(r.rows) - drop
 	r.rows = r.rows[:n]
 	r.seqs = r.seqs[:n]
-	if r.hashes != nil && len(r.hashes) > n {
-		r.hashes = r.hashes[:n]
-	}
+	r.hashes = r.hashes[:n]
 	return drop
 }

@@ -393,3 +393,52 @@ func TestCommitmentDigestFormat(t *testing.T) {
 		t.Fatalf("Digest() = %q, want %q", c.Digest(), want)
 	}
 }
+
+// TestTruncateThenRefreeze: TruncateSealed drops rows the store-level
+// indices already hold. A frozen store keeps serving them, and the next
+// Freeze after further ingest must rebuild the indices without them
+// rather than merge only the newly sealed runs into the stale ones.
+func TestTruncateThenRefreeze(t *testing.T) {
+	st := storetest.Make(17, 3000)
+	s := metastore.NewShardedSegmented(4, 64)
+	st.IngestPrefix(s, 2000)
+	s.Freeze()
+	var ref metastore.SegmentRef
+	var dropped []records.TransferEvent
+	s.SealedEventSegments(func(r metastore.SegmentRef, rows []*records.TransferEvent) {
+		if dropped == nil && len(rows) >= 8 {
+			ref, dropped = r, storetest.EvValues(rows[len(rows)-3:])
+		}
+	})
+	if dropped == nil {
+		t.Fatal("no sealed event segment large enough to truncate")
+	}
+	held := len(s.Transfers(0, 0))
+	if got := s.TruncateSealed(ref, 3); got != 3 {
+		t.Fatalf("TruncateSealed dropped %d rows, want 3", got)
+	}
+	if got := len(s.Transfers(0, 0)); got != held {
+		t.Fatalf("frozen store serves %d transfers right after the truncation, want the %d its indices hold", got, held)
+	}
+
+	st.IngestRange(s, 2000, 3000)
+	s.Freeze()
+	want := st.Oracle(3000).Transfers(0, 0)
+	for _, d := range dropped {
+		for i := range want {
+			if want[i] == d {
+				want = append(want[:i], want[i+1:]...)
+				break
+			}
+		}
+	}
+	got := storetest.EvValues(s.Transfers(0, 0))
+	if len(got) != len(want) {
+		t.Fatalf("Transfers(0,0) after the refreeze: %d events, want %d (the dropped rows must be gone)", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Transfers(0,0)[%d] after the refreeze = event %d, want event %d", i, got[i].EventID, want[i].EventID)
+		}
+	}
+}

@@ -89,7 +89,7 @@ func assertStoresAgree(t *testing.T, label string, live, ref *metastore.Store) {
 			}
 			for i := range le {
 				if *le[i].File != *re[i].File ||
-					!reflect.DeepEqual(evValues(le[i].Candidates), evValues(re[i].Candidates)) {
+					!reflect.DeepEqual(evValues(le[i].Candidates()), evValues(re[i].Candidates())) {
 					t.Fatalf("%s: JoinEntriesForJob(%d,%d)[%d] diverged", label, panda, task, i)
 				}
 			}
@@ -107,6 +107,19 @@ func assertStoresAgree(t *testing.T, label string, live, ref *metastore.Store) {
 	}
 }
 
+// checkOracle holds a store to the stream oracle for the prefix it holds:
+// the matcher-facing probes, and the ranged queries over the windows
+// assertStoresAgree uses.
+func checkOracle(t *testing.T, label string, s *metastore.Store, o *storetest.Oracle) {
+	t.Helper()
+	if err := o.CheckJoins(s); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := o.CheckRanges(s, [][2]simtime.VTime{{0, 20}, {5, 15}, {7, 8}, {19, 40}}); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
 // TestCutPointEquivalence is the mid-run contract of the segmented store:
 // stop a fuzzed ingest at k random prefixes and assert Jobs, Transfers,
 // JoinEntriesForJob, TaskTransfersByKey, and MatchJob over the live
@@ -114,46 +127,69 @@ func assertStoresAgree(t *testing.T, label string, live, ref *metastore.Store) {
 // across shard counts {1,4,8} × segment sizes {small, default}. One live
 // store advances through all cuts (with explicit Seal()s interleaved at
 // every other cut, so queries land on fresh seal boundaries too) and is
-// never frozen until the final end-of-run check.
+// never frozen until the final end-of-run check. A second store advances
+// the same way but freezes at every cut, as the serving layer does at
+// each checkpoint, so every Freeze after the first merges newly sealed
+// runs into the previous indices. The live and refreezing stores (and the
+// final reference) are also held to the stream oracle, which shares no
+// code with the store. The suite runs the
+// stream in its recorded order and with every file row put first, so
+// file rows wait unbound for their key's first event.
 func TestCutPointEquivalence(t *testing.T) {
-	st := storetest.Make(99, 3000)
+	recorded := storetest.Make(99, 3000)
 	rng := rand.New(rand.NewSource(7))
-	cuts := cutPoints(rng, st.Len(), 5)
+	cuts := cutPoints(rng, recorded.Len(), 5)
 
-	for _, shards := range []int{1, 4, 8} {
-		for _, segRows := range []int{64, 0} { // 0 → DefaultSegmentRows (tail-only at this scale)
-			live := metastore.NewShardedSegmented(shards, segRows)
-			prev := 0
-			for ci, cut := range cuts {
-				st.IngestRange(live, prev, cut)
-				prev = cut
+	for _, order := range []struct {
+		name string
+		st   *storetest.Stream
+	}{{"recorded", recorded}, {"files-first", recorded.FilesFirst()}} {
+		st := order.st
+		for _, shards := range []int{1, 4, 8} {
+			for _, segRows := range []int{64, 0} { // 0 → DefaultSegmentRows (tail-only at this scale)
+				live := metastore.NewShardedSegmented(shards, segRows)
+				refrozen := metastore.NewShardedSegmented(shards, segRows)
+				prev := 0
+				for ci, cut := range cuts {
+					st.IngestRange(live, prev, cut)
+					st.IngestRange(refrozen, prev, cut)
+					prev = cut
+					refrozen.Freeze()
 
-				ref := metastore.NewSharded(1) // canonical batch path
-				st.IngestPrefix(ref, cut)
-				ref.Freeze()
+					ref := metastore.NewSharded(1) // canonical batch path
+					st.IngestPrefix(ref, cut)
+					ref.Freeze()
 
-				label := fmt.Sprintf("shards=%d segRows=%d cut=%d", shards, segRows, cut)
-				assertStoresAgree(t, label, live, ref)
+					label := fmt.Sprintf("%s shards=%d segRows=%d cut=%d", order.name, shards, segRows, cut)
+					oracle := st.Oracle(cut)
+					assertStoresAgree(t, label, live, ref)
+					assertStoresAgree(t, label+" (refrozen)", refrozen, ref)
+					checkOracle(t, label, live, oracle)
+					checkOracle(t, label+" (refrozen)", refrozen, oracle)
 
-				if ci%2 == 1 {
-					live.Seal() // queries after this land on a fresh seal boundary
-					assertStoresAgree(t, label+" (sealed)", live, ref)
+					if ci%2 == 1 {
+						live.Seal() // queries after this land on a fresh seal boundary
+						assertStoresAgree(t, label+" (sealed)", live, ref)
+					}
 				}
-			}
 
-			// Small segments over 3000 puts must actually have sealed; the
-			// default size must not (the pure-tail path is covered too).
-			if segRows == 64 && live.SealedSegments() == 0 {
-				t.Fatalf("shards=%d segRows=64: no segment ever sealed", shards)
-			}
+				// Small segments over 3000 puts must actually have sealed; the
+				// default size must not (the pure-tail path is covered too).
+				if segRows == 64 && live.SealedSegments() == 0 {
+					t.Fatalf("%s shards=%d segRows=64: no segment ever sealed", order.name, shards)
+				}
 
-			// End of run: freezing the incrementally built store must land on
-			// the exact batch result.
-			live.Freeze()
-			ref := metastore.NewSharded(1)
-			st.IngestPrefix(ref, st.Len())
-			ref.Freeze()
-			assertStoresAgree(t, fmt.Sprintf("shards=%d segRows=%d frozen", shards, segRows), live, ref)
+				// End of run: freezing the incrementally built store must land on
+				// the exact batch result.
+				live.Freeze()
+				ref := metastore.NewSharded(1)
+				st.IngestPrefix(ref, st.Len())
+				ref.Freeze()
+				label := fmt.Sprintf("%s shards=%d segRows=%d frozen", order.name, shards, segRows)
+				assertStoresAgree(t, label, live, ref)
+				checkOracle(t, label, live, st.Oracle(st.Len()))
+				checkOracle(t, label+" (reference)", ref, st.Oracle(st.Len()))
+			}
 		}
 	}
 }

@@ -15,9 +15,14 @@
 // a jeditaskid spread round-robin and never enter a task index.
 //
 // Ingestion is append-only and single-threaded: the Put* methods maintain
-// the per-shard hash indices and the cached counters incrementally. The
-// sorted time order behind the ranged queries Jobs and Transfers is an
-// epoch/segment structure per shard (NewShardedSegmented sizes it): rows
+// the per-shard hash indices and the cached counters incrementally, and
+// bind every JEDI file row to its candidate bucket — the events of its
+// task sharing its join key — as it is put; a row whose key has no event
+// yet waits on its task's parked list until the key's first event binds
+// it. JoinEntriesForJob therefore reads one map on a live store and a
+// frozen one alike. The sorted time order behind the ranged queries Jobs
+// and Transfers is an epoch/segment structure per shard
+// (NewShardedSegmented sizes it): rows
 // land in a mutable tail whose sorted view is cached lazily; when the tail
 // reaches the segment-row threshold — or on an explicit Seal() — it
 // becomes an immutable, binary-searchable sealed segment (sorted in the
@@ -29,11 +34,14 @@
 // by (time, ingestion sequence), so their results are byte-identical to
 // the frozen store's for the same ingested prefix — for any shard count
 // crossed with any segment size (pinned by the cut-point equivalence tests
-// and FuzzSegmentMerge). Freeze is now only the batch-mode finalizer: it
-// seals the tails, compacts each shard to one run, builds the store-level
-// merged indices, and pre-resolves each job's file rows to their candidate
-// transfer buckets (JoinEntriesForJob), making every subsequent query
-// allocation-free. Queries return pointers into the arenas; callers must
+// and FuzzSegmentMerge). Freeze is the checkpoint finalizer: it seals the
+// tails, compacts each shard to one run, and merges only the runs sealed
+// since the previous Freeze into the store-level indices, so its cost
+// follows the rows ingested since then (FuzzRefreeze pins repeated
+// freezes against the stream oracle). Every merge — live windows,
+// compaction, Freeze — is one kernel: runs merge pairwise, smallest
+// first, each placing the shorter run's rows in the longer one by
+// galloping search. Queries return pointers into the arenas; callers must
 // not mutate results.
 //
 // Concurrency invariant: the store is safe for concurrent readers only

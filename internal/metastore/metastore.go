@@ -48,12 +48,13 @@ const DefaultShards = 8
 // Each shard's time-sorted view is segmented: rows land in a mutable tail
 // whose indices are maintained incrementally, and tails seal into
 // immutable sorted segments at SegmentRows (or on Seal). Every query —
-// Jobs, Transfers, the matcher probes — answers at any point mid-run by
-// merging sealed segments and tails through the (time, ingestion-seq)
-// k-way merge; Freeze degenerates to "seal and compact the tails", builds
-// the store-level merged indices the frozen fast path serves from, and
-// leaves results byte-identical to the live path for any shard count and
-// segment size.
+// Jobs, Transfers, the matcher probes — answers at any point mid-run:
+// the ranged ones by merging sealed segments and tails in (time,
+// ingestion-seq) order, the matcher probes from join entries bound at
+// ingest. Freeze seals and compacts the tails and merges the runs sealed
+// since the previous Freeze into the store-level indices the frozen fast
+// path serves from, leaving results byte-identical to the live path for
+// any shard count and segment size.
 type Store struct {
 	shards  []*shard
 	strings *internTable
@@ -71,19 +72,27 @@ type Store struct {
 
 	// Pending obs-counter deltas, batched on the single-writer ingest path
 	// (a plain increment per put) and flushed to the process-wide metrics
-	// at Freeze/Reset. Batching keeps the put hot loops free of atomic
-	// read-modify-writes; scrapes between flushes read checkpoint-stale
-	// counters, which is the granularity the serving layer publishes at
-	// anyway.
+	// whenever a tail seals, on Seal, Freeze and Reset. Batching keeps the
+	// put hot loops free of atomic read-modify-writes; a scrape lags the
+	// puts by at most one segment's worth of rows per shard.
 	pendJobs      int64
 	pendFiles     int64
 	pendTransfers int64
 
 	// Merged sorted time indices, built by Freeze from the per-shard runs.
 	// jobsByEnd is ordered by EndTime, evByStart by StartedAt (ties keep
-	// global ingestion order).
+	// global ingestion order); jobSeqs and evSeqs are their rows' global
+	// sequences, which break time ties when the next Freeze merges newly
+	// sealed runs in.
 	jobsByEnd []*records.JobRecord
+	jobSeqs   []uint32
 	evByStart []*records.TransferEvent
+	evSeqs    []uint32
+
+	// rebuild makes the next Freeze merge every sealed run from scratch
+	// instead of only the runs sealed since the previous Freeze. Set by
+	// TruncateSealed: the indices still hold the rows it dropped.
+	rebuild bool
 
 	frozen   atomic.Bool
 	freezeMu sync.Mutex
@@ -171,16 +180,20 @@ func (s *Store) nextSeq() uint32 {
 func (s *Store) PutJob(j *records.JobRecord) {
 	cp := *j
 	cp.ComputingSite = s.strings.canon(cp.ComputingSite)
-	p := s.shards[s.ShardFor(cp.JediTaskID)].putJob(cp, s.nextSeq())
+	p, sealed := s.shards[s.ShardFor(cp.JediTaskID)].putJob(cp, s.nextSeq())
 	s.jobsByID[cp.PandaID] = p
 	s.pendJobs++
+	if sealed {
+		s.flushIngestCounters()
+	}
 	s.frozen.Store(false)
 }
 
-// PutFile ingests a JEDI file-table row, interning its join attributes.
-// The row's interned join key is resolved here, once, so neither the
-// freeze-time candidate binding nor the live matcher probe re-hashes the
-// strings. The record is copied into its shard's arena.
+// PutFile ingests a JEDI file-table row, interning its join attributes,
+// and binds it to its candidate bucket — the events of its task with the
+// same join key — so the matcher's probe never re-hashes the strings. A
+// row whose key has no event yet is bound when the first one arrives. The
+// record is copied into its shard's arena.
 func (s *Store) PutFile(f *records.FileRecord) {
 	cp := *f
 	key := symKey{
@@ -230,23 +243,26 @@ func (s *Store) PutTransfer(ev *records.TransferEvent) {
 	} else {
 		sh = s.shards[int(seq)%len(s.shards)]
 	}
-	sh.putTransfer(cp, key, seq)
 	s.pendTransfers++
+	if sh.putTransfer(cp, key, seq) {
+		s.flushIngestCounters()
+	}
 	s.frozen.Store(false)
 }
 
 // Freeze finalizes the store for the frozen fast path: every shard seals
-// its tails, compacts its sealed segments into one run per arena, and
-// binds the pre-resolved join entries — concurrently, one goroutine per
-// shard — then the per-shard runs are merged into the store-level indices
-// by (time, ingestion sequence), byte-identical to a single-store stable
-// sort. Because sealed segments stay sorted, a re-freeze after further
-// ingestion only sorts the new tail and re-merges, instead of re-sorting
-// history. Freeze is idempotent and safe to call from concurrent readers;
-// it is no longer a precondition for any query — an unfrozen store answers
-// the same queries live from sealed+tail — but calling it eagerly (as
-// sim.Run does) keeps the steady-state query path lock- and
-// allocation-free.
+// its tails and compacts its sealed segments into one run per arena —
+// concurrently, one goroutine per shard — then only the runs sealed since
+// the previous Freeze are merged into the store-level indices by (time,
+// ingestion sequence), byte-identical to a single-store stable sort.
+// Sealed segments stay sorted and the join entries are bound at ingest,
+// so a Freeze costs the sort of the new tail plus a merge probed in
+// proportion to the new rows; the copies into fresh index arrays are its
+// only work over all rows. Freeze is idempotent and safe to call from
+// concurrent readers; it is not a precondition for any query — an
+// unfrozen store answers the same queries live from sealed+tail — but
+// calling it eagerly (as sim.Run does) keeps the steady-state query path
+// lock- and allocation-free.
 func (s *Store) Freeze() {
 	if s.frozen.Load() {
 		return
@@ -256,32 +272,40 @@ func (s *Store) Freeze() {
 	if s.frozen.Load() {
 		return
 	}
-	s.flushIngestMetrics()
+	// Captured before the seals below: how many rows had accumulated
+	// unsorted since the previous checkpoint.
+	mTailRows.Set(int64(s.TailRows()))
+	s.flushIngestCounters()
 	t0 := time.Now()
+	all := s.rebuild
+	jobRuns := make([][]segRun[records.JobRecord], len(s.shards))
+	evRuns := make([][]segRun[records.TransferEvent], len(s.shards))
 	var wg sync.WaitGroup
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
 		wg.Add(1)
-		go func(sh *shard) {
+		go func() {
 			defer wg.Done()
-			sh.freeze()
-		}(sh)
+			jobRuns[i], evRuns[i] = sh.freeze(all)
+		}()
 	}
 	wg.Wait()
 
-	jobRuns := make([][]*records.JobRecord, len(s.shards))
-	jobSeqs := make([][]uint32, len(s.shards))
-	evRuns := make([][]*records.TransferEvent, len(s.shards))
-	evSeqs := make([][]uint32, len(s.shards))
-	for i, sh := range s.shards {
-		jobRuns[i], jobSeqs[i] = sh.jobSegs.single()
-		evRuns[i], evSeqs[i] = sh.evSegs.single()
+	// The previous indices are one more sorted run, unless a rebuild drops
+	// them. Results handed out earlier alias the previous arrays, which the
+	// merge only reads: any real merge builds fresh ones.
+	jobs := []segRun[records.JobRecord]{{rows: s.jobsByEnd, seqs: s.jobSeqs}}
+	evs := []segRun[records.TransferEvent]{{rows: s.evByStart, seqs: s.evSeqs}}
+	if all {
+		jobs, evs = jobs[:0], evs[:0]
 	}
-	// The merged indices alias the compacted segment runs only in the
-	// single-shard case, and compacted runs are immutable — a re-freeze
-	// after further ingestion compacts into fresh arrays — so slices
-	// already handed out to callers are never disturbed.
-	s.jobsByEnd, _ = mergeRuns(jobRuns, jobSeqs, jobEnd, false)
-	s.evByStart, _ = mergeRuns(evRuns, evSeqs, evStart, false)
+	for i := range s.shards {
+		jobs = append(jobs, jobRuns[i]...)
+		evs = append(evs, evRuns[i]...)
+	}
+	j, e := mergeRuns(jobs, jobEnd), mergeRuns(evs, evStart)
+	s.jobsByEnd, s.jobSeqs = j.rows, j.seqs
+	s.evByStart, s.evSeqs = e.rows, e.seqs
+	s.rebuild = false
 	s.frozen.Store(true)
 	mFreezes.Inc()
 	mFreezeSeconds.ObserveSince(t0)
@@ -297,17 +321,15 @@ func (s *Store) TailRows() int {
 	return n
 }
 
-// flushIngestMetrics publishes the batched put counters and the tail-size
-// gauge to the process-wide registry. Runs on the ingest/freeze path with
-// freezeMu held (or from Reset), so the pending fields are stable. The
-// gauge is captured before the freeze seals the tails: it reports how many
-// rows had accumulated unsorted since the previous checkpoint.
-func (s *Store) flushIngestMetrics() {
+// flushIngestCounters publishes the batched put counters to the
+// process-wide registry. It runs on the single-writer ingest path — when a
+// put seals a tail, and on Seal, Freeze and Reset — so the pending fields
+// are stable and the flush stays off the per-row path.
+func (s *Store) flushIngestCounters() {
 	mJobsIngested.Add(s.pendJobs)
 	mFilesIngested.Add(s.pendFiles)
 	mTransfersIngested.Add(s.pendTransfers)
 	s.pendJobs, s.pendFiles, s.pendTransfers = 0, 0, 0
-	mTailRows.Set(int64(s.TailRows()))
 }
 
 // Seal closes every shard's mutable tail into an immutable sorted segment
@@ -319,6 +341,7 @@ func (s *Store) Seal() {
 	for _, sh := range s.shards {
 		sh.seal()
 	}
+	s.flushIngestCounters()
 }
 
 // Reset empties the store for reuse while keeping the arena chunks, index
@@ -336,7 +359,7 @@ func (s *Store) Seal() {
 func (s *Store) Reset() {
 	s.freezeMu.Lock()
 	defer s.freezeMu.Unlock()
-	s.flushIngestMetrics()
+	s.flushIngestCounters()
 	mTailRows.Set(0) // the tails are about to be dropped
 	var wg sync.WaitGroup
 	for _, sh := range s.shards {
@@ -352,11 +375,12 @@ func (s *Store) Reset() {
 	s.seq = 0
 	s.withTaskID = 0
 	clear(s.taskByActivity)
-	// The merged indices are rebuilt from scratch by every Freeze (ranged
-	// queries alias them), so there is no capacity worth keeping — drop the
-	// references and let the old arrays go.
-	s.jobsByEnd = nil
-	s.evByStart = nil
+	// Every Freeze merges into fresh index arrays (ranged queries alias
+	// them), so there is no capacity worth keeping — drop the references
+	// and let the old arrays go.
+	s.jobsByEnd, s.jobSeqs = nil, nil
+	s.evByStart, s.evSeqs = nil, nil
+	s.rebuild = false
 	s.frozen.Store(false)
 }
 
@@ -366,27 +390,33 @@ type pandaTask struct {
 	panda, task int64
 }
 
-// JoinEntry pairs one JEDI file row with its pre-resolved candidate
-// transfers: the events of the row's task that share its composite join
-// key, in ingestion order. Both fields are read-only for callers.
+// JoinEntry pairs one JEDI file row with its candidate bucket: the events
+// of the row's task that share its composite join key, in ingestion
+// order. The entry holds the bucket itself, bound at ingest, so its
+// Candidates reflect every event put so far. Read-only for callers.
 type JoinEntry struct {
-	File       *records.FileRecord
-	Candidates []*records.TransferEvent
+	File   *records.FileRecord
+	bucket *[]*records.TransferEvent
 }
 
-// JoinEntriesForJob returns the job's file rows (Algorithm 1's F'_j) with
-// their join buckets resolved — the matcher's per-job probe, which lives
-// entirely in the task's shard. On a frozen store the groups and buckets
-// were bound at Freeze, so the call is one hash route plus one map lookup —
-// no join-key hashing and no allocation. Mid-run (unfrozen) the entries
-// are assembled live from the incrementally maintained file and join-key
-// indices, reflecting every record ingested so far.
-func (s *Store) JoinEntriesForJob(pandaID, jediTaskID int64) []JoinEntry {
-	sh := s.shards[s.ShardFor(jediTaskID)]
-	if s.frozen.Load() {
-		return sh.entriesByJob[pandaTask{pandaID, jediTaskID}]
+// Candidates returns the entry's candidate transfers in ingestion order:
+// nil while no event of the row's task carries its join key (always for
+// task 0, whose events enter no task index).
+func (e JoinEntry) Candidates() []*records.TransferEvent {
+	if e.bucket == nil {
+		return nil
 	}
-	return sh.liveEntriesForJob(pandaID, jediTaskID)
+	return *e.bucket
+}
+
+// JoinEntriesForJob returns the job's file rows (Algorithm 1's F'_j) in
+// ingestion order with their join buckets bound — the matcher's per-job
+// probe, which lives entirely in the task's shard. The entries are bound
+// as rows and events are put, so the call is one hash route plus one map
+// lookup — no join-key hashing and no allocation — on a live store and a
+// frozen one alike.
+func (s *Store) JoinEntriesForJob(pandaID, jediTaskID int64) []JoinEntry {
+	return s.shards[s.ShardFor(jediTaskID)].entries[pandaTask{pandaID, jediTaskID}]
 }
 
 // Counts of ingested records.
@@ -471,13 +501,11 @@ func (s *Store) Jobs(from, to simtime.VTime, label records.SourceLabel) []*recor
 // liveJobWindow merges the [from, to) EndTime window across every shard's
 // sealed segments and tail, ordered by (EndTime, ingestion seq).
 func (s *Store) liveJobWindow(from, to simtime.VTime) []*records.JobRecord {
-	var runs [][]*records.JobRecord
-	var seqs [][]uint32
+	var runs []segRun[records.JobRecord]
 	for _, sh := range s.shards {
-		sh.jobSegs.windows(&sh.jobs, sh.jobSeq, from, to, false, &runs, &seqs)
+		sh.jobSegs.windows(&sh.jobs, sh.jobSeq, from, to, false, &runs)
 	}
-	out, _ := mergeRuns(runs, seqs, jobEnd, false)
-	return out
+	return mergeRuns(runs, jobEnd).rows
 }
 
 // timeRange cuts the half-open [from, to) window out of a slice sorted by
@@ -498,14 +526,13 @@ func (s *Store) Job(pandaID int64) (*records.JobRecord, bool) {
 }
 
 // FilesForJob returns the JEDI file rows carrying the given pandaid and
-// jeditaskid — Algorithm 1's F'_j subset. File rows live in their task's
-// shard, so this probes exactly one shard.
+// jeditaskid in ingestion order — Algorithm 1's F'_j subset, read off the
+// job's join entries in its task's shard. The result is a fresh slice
+// (nil when there are none).
 func (s *Store) FilesForJob(pandaID, jediTaskID int64) []*records.FileRecord {
 	var out []*records.FileRecord
-	for _, fe := range s.shards[s.ShardFor(jediTaskID)].filesByPanda[pandaID] {
-		if fe.row.JediTaskID == jediTaskID {
-			out = append(out, fe.row)
-		}
+	for _, e := range s.JoinEntriesForJob(pandaID, jediTaskID) {
+		out = append(out, e.File)
 	}
 	return out
 }
@@ -538,7 +565,10 @@ func (s *Store) TaskTransfersByKey(jedi int64, key JoinKey) []*records.TransferE
 		return nil
 	}
 	sk := taskSymKey{jedi, symKey{lfn, scope, ds, pdb}}
-	return s.shards[s.ShardFor(jedi)].evByTaskKey[sk]
+	if b := s.shards[s.ShardFor(jedi)].evByTaskKey[sk]; b != nil {
+		return *b
+	}
+	return nil
 }
 
 // Transfers returns events with StartedAt in [from, to); from==to==0 means
@@ -554,12 +584,10 @@ func (s *Store) Transfers(from, to simtime.VTime) []*records.TransferEvent {
 		}
 		return timeRange(s.evByStart, from, to, evStart)
 	}
-	var runs [][]*records.TransferEvent
-	var seqs [][]uint32
+	var runs []segRun[records.TransferEvent]
 	all := from == 0 && to == 0
 	for _, sh := range s.shards {
-		sh.evSegs.windows(&sh.events, sh.evSeq, from, to, all, &runs, &seqs)
+		sh.evSegs.windows(&sh.events, sh.evSeq, from, to, all, &runs)
 	}
-	out, _ := mergeRuns(runs, seqs, evStart, false)
-	return out
+	return mergeRuns(runs, evStart).rows
 }

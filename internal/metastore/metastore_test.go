@@ -253,7 +253,35 @@ func TestResetReusesStoreAcrossScenarios(t *testing.T) {
 		t.Fatalf("jobs after refill = %d", len(got))
 	}
 	entries := s.JoinEntriesForJob(2, 1)
-	if len(entries) != 1 || len(entries[0].Candidates) != 3 {
+	if len(entries) != 1 || len(entries[0].Candidates()) != 3 {
 		t.Fatalf("join entries after refill: %d entries", len(entries))
+	}
+}
+
+// TestIngestCountersFlushAtSeal: the batched ingest counters flush
+// whenever a put seals a tail and on Seal, so a scrape between checkpoints
+// sees every row up to the last seal without any Freeze.
+func TestIngestCountersFlushAtSeal(t *testing.T) {
+	j0, f0, e0 := mJobsIngested.Value(), mFilesIngested.Value(), mTransfersIngested.Value()
+	s := NewShardedSegmented(1, 8)
+	for i := 1; i <= 20; i++ {
+		s.PutFile(&records.FileRecord{PandaID: int64(i), JediTaskID: 1, LFN: "f"})
+		s.PutTransfer(&records.TransferEvent{EventID: int64(i), JediTaskID: 1, LFN: "f", StartedAt: simtime.VTime(i)})
+		s.PutJob(&records.JobRecord{PandaID: int64(i), JediTaskID: 1, EndTime: simtime.VTime(i)})
+	}
+	if got := s.SealedSegments(); got != 4 {
+		t.Fatalf("%d sealed segments, want two threshold seals per arena", got)
+	}
+	// The 16th transfer sealed the events tail and the 16th job the jobs
+	// tail: every row put before them has been published.
+	counts := func() [3]int64 {
+		return [3]int64{mJobsIngested.Value() - j0, mFilesIngested.Value() - f0, mTransfersIngested.Value() - e0}
+	}
+	if got := counts(); got != [3]int64{16, 16, 16} {
+		t.Fatalf("jobs/files/transfers ingested after two seals = %v, want [16 16 16]", got)
+	}
+	s.Seal()
+	if got := counts(); got != [3]int64{20, 20, 20} {
+		t.Fatalf("jobs/files/transfers ingested after Seal = %v, want [20 20 20]", got)
 	}
 }

@@ -6,22 +6,23 @@ import "panrucio/internal/obs"
 // Counters and histograms aggregate over every store in the process (the
 // sweep engine runs one store per worker).
 //
-// The per-row ingest counters and the tail gauge are NOT updated per put:
-// the single-writer ingest path batches them as plain increments on the
-// store and flushes at Freeze/Reset (see flushIngestMetrics), so the put
-// hot loops carry no atomic read-modify-writes at all. A scrape between
-// flushes therefore reads values as of the last freeze — checkpoint
-// granularity, which is when the serving layer opens read windows anyway.
-// Seal/merge/freeze metrics update at reorganization time, where one
-// atomic op amortizes over thousands of rows. The overhead benchmark
-// (bench/BENCH_obs.json) pins the total ingest-path cost.
+// The per-row ingest counters are NOT updated per put: the single-writer
+// ingest path batches them as plain increments on the store and flushes
+// them whenever a put seals a tail, and on Seal, Freeze and Reset (see
+// flushIngestCounters), so the put hot loops carry no atomic
+// read-modify-writes at all. A scrape between flushes lags the puts by at
+// most one segment's worth of rows per shard. The tail gauge is set at
+// Freeze (before its seals) and Reset. Seal/merge/freeze metrics update
+// at reorganization time, where one atomic op amortizes over thousands of
+// rows. The overhead benchmark (bench/BENCH_obs.json) pins the total
+// ingest-path cost.
 var (
 	mJobsIngested = obs.Default().Counter("metastore_jobs_ingested_total",
-		"job rows ingested across all stores (flushed at freeze)")
+		"job rows ingested across all stores (flushed at seal and freeze)")
 	mFilesIngested = obs.Default().Counter("metastore_files_ingested_total",
-		"JEDI file rows ingested across all stores (flushed at freeze)")
+		"JEDI file rows ingested across all stores (flushed at seal and freeze)")
 	mTransfersIngested = obs.Default().Counter("metastore_transfers_ingested_total",
-		"transfer events ingested across all stores (flushed at freeze)")
+		"transfer events ingested across all stores (flushed at seal and freeze)")
 	mTailRows = obs.Default().Gauge("metastore_tail_rows",
 		"unsealed tail rows pending at the last freeze (pre-seal capture)")
 	mSeals = obs.Default().Counter("metastore_seals_total",
@@ -31,7 +32,7 @@ var (
 	mSealSortSeconds = obs.Default().Histogram("metastore_seal_sort_seconds",
 		"background (time, seq) sort latency of one sealed segment", obs.DefBuckets)
 	mMergeWidth = obs.Default().Histogram("metastore_merge_width",
-		"sorted runs per k-way merge (live windows, compaction, freeze)", obs.SizeBuckets)
+		"non-empty sorted runs per merge (live windows, compaction, freeze)", obs.SizeBuckets)
 	mFreezes = obs.Default().Counter("metastore_freezes_total",
 		"store freezes that did reorganization work (idempotent fast-path hits excluded)")
 	mFreezeSeconds = obs.Default().Histogram("metastore_freeze_seconds",

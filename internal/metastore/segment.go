@@ -105,13 +105,17 @@ type segIndex[T any] struct {
 	at    func(*T) simtime.VTime
 	limit int // seal threshold in rows
 
-	// hash computes one row's commitment hash from (row, global seq); nil
-	// disables commitments (bare indices built by tests). Set once at
-	// construction, before any seal.
+	// hash computes one row's commitment hash from (row, global seq). Set
+	// once at construction, before any seal.
 	hash func(*T, uint32) uint64
 
 	sealed []*segRun[T]
 	start  int // first arena row of the tail
+
+	// compacted counts the leading sealed runs produced by the previous
+	// compact (0 or 1): every run after them was sealed since then, and
+	// only those are new to the store-level indices.
+	compacted int
 
 	// tail caches the sorted view of rows [start, arena.len()); cleared
 	// after an append or a seal. Atomic so concurrent readers can share
@@ -127,18 +131,21 @@ type segIndex[T any] struct {
 }
 
 // noteAppend records that one row was appended to the arena, invalidating
-// the cached tail view and sealing the tail once it reaches the limit.
-// Only readers build tail views, and under the single-writer contract
-// above no reader overlaps ingest (the serving layer's epoch lock admits
-// readers only between ingest windows), so a nil Load here cannot race a
-// reader's Store and the common case skips the atomic store.
-func (x *segIndex[T]) noteAppend(a *arena[T], seqs []uint32) {
+// the cached tail view and sealing the tail once it reaches the limit; it
+// reports whether it sealed. Only readers build tail views, and under the
+// single-writer contract above no reader overlaps ingest (the serving
+// layer's epoch lock admits readers only between ingest windows), so a nil
+// Load here cannot race a reader's Store and the common case skips the
+// atomic store.
+func (x *segIndex[T]) noteAppend(a *arena[T], seqs []uint32) bool {
 	if x.tail.Load() != nil {
 		x.tail.Store(nil)
 	}
-	if a.len()-x.start >= x.limit {
-		x.seal(a, seqs)
+	if a.len()-x.start < x.limit {
+		return false
 	}
+	x.seal(a, seqs)
+	return true
 }
 
 // seal compacts the current tail into an immutable sealed segment and
@@ -175,15 +182,13 @@ func (x *segIndex[T]) seal(a *arena[T], seqs []uint32) {
 		// Publish the sort before hashing: queries block only on the sorted
 		// order, not on the commitment computed over it.
 		x.sealing.Done()
-		if x.hash != nil {
-			// Commit the sealed contents while still off the ingest path:
-			// the segment is immutable from here on, so the hashes fix its
-			// canonical (time, seq) order and contents.
-			tc := time.Now()
-			seg.commitRows(x.hash)
-			mCommitRows.Add(int64(seg.committed))
-			mCommitSeconds.ObserveSince(tc)
-		}
+		// Commit the sealed contents while still off the ingest path: the
+		// segment is immutable from here on, so the hashes fix its
+		// canonical (time, seq) order and contents.
+		tc := time.Now()
+		seg.commitRows(x.hash)
+		mCommitRows.Add(int64(seg.committed))
+		mCommitSeconds.ObserveSince(tc)
 	}()
 }
 
@@ -223,102 +228,75 @@ func (x *segIndex[T]) tailRun(a *arena[T], seqs []uint32) *segRun[T] {
 }
 
 // windows appends the sorted run views overlapping [from, to) — every
-// sealed segment's window plus the tail's — to runs/runSeqs, for the
-// store-level (time, seq) merge. all selects the full runs without
-// windowing.
-func (x *segIndex[T]) windows(a *arena[T], seqs []uint32, from, to simtime.VTime, all bool,
-	runs *[][]*T, runSeqs *[][]uint32) {
+// sealed segment's window plus the tail's — to runs, for the store-level
+// (time, seq) merge. all selects the full runs without windowing. The
+// views carry rows and seqs only: the commitment fields of a sealed run
+// may still be written by its seal goroutine — wait() publishes the sort,
+// not the hashes.
+func (x *segIndex[T]) windows(a *arena[T], seqs []uint32, from, to simtime.VTime, all bool, runs *[]segRun[T]) {
 	x.wait()
-	add := func(r segRun[T]) {
-		if len(r.rows) > 0 {
-			*runs = append(*runs, r.rows)
-			*runSeqs = append(*runSeqs, r.seqs)
-		}
-	}
 	for _, seg := range x.sealed {
-		if all {
-			// View only rows/seqs: the full struct copy would read the
-			// commitment fields, which the seal goroutine may still be
-			// writing — wait() publishes the sort, not the hashes.
-			add(segRun[T]{rows: seg.rows, seqs: seg.seqs})
-		} else {
-			add(seg.window(from, to, x.at))
+		r := segRun[T]{rows: seg.rows, seqs: seg.seqs}
+		if !all {
+			r = r.window(from, to, x.at)
 		}
+		*runs = append(*runs, r)
 	}
 	t := x.tailRun(a, seqs)
 	if all {
-		add(*t)
+		*runs = append(*runs, segRun[T]{rows: t.rows, seqs: t.seqs})
 	} else {
-		add(t.window(from, to, x.at))
+		*runs = append(*runs, t.window(from, to, x.at))
 	}
 }
 
-// compact k-way-merges all sealed segments into one — the shard-local LSM
-// step run at Freeze so the store-level merge sees one run per shard and
-// later incremental freezes merge [compacted, new] instead of re-sorting
-// history. The merged run is built in fresh arrays; the old segment runs
-// are dropped but never mutated, so query results that alias them stay
+// compact merges all sealed segments into one — the shard-local LSM step
+// run at Freeze, so live windows and audits see one run per shard — and
+// returns views (rows and seqs) of the runs sealed since the previous
+// compact: the rows the store-level indices do not hold yet. all returns
+// every sealed run instead, for a rebuild from scratch. The merged run is
+// built in fresh arrays; the old segment runs are dropped but never
+// mutated, so the returned views and query results that alias them stay
 // intact.
 //
 // Commitments are CARRIED through the merge, never recomputed: each
-// surviving row keeps its seal-time hash, the aggregate is the XOR of the
-// input aggregates, and the committed count is their sum. Recomputing from
-// the current contents would launder any post-seal tamper into a fresh
-// clean commitment; carrying means a mismatch planted before compaction is
-// still detected after it (including truncation, which survives as a
-// committed-count excess over the merged length).
-func (x *segIndex[T]) compact() {
+// surviving row keeps its seal-time hash (the merge kernel moves hashes
+// with their rows), the aggregate is the XOR of the input aggregates, the
+// committed count is their sum, and only the chain is refolded over the
+// merged order. Recomputing from the current contents would launder any
+// post-seal tamper into a fresh clean commitment; carrying means a
+// mismatch planted before compaction is still detected after it
+// (including truncation, which survives as a committed-count excess over
+// the merged length).
+func (x *segIndex[T]) compact(all bool) []segRun[T] {
 	x.waitCommits()
-	if len(x.sealed) <= 1 {
-		return
+	from := x.compacted
+	if all {
+		from = 0
 	}
-	runs := make([][]*T, len(x.sealed))
-	seqs := make([][]uint32, len(x.sealed))
-	for i, seg := range x.sealed {
-		runs[i], seqs[i] = seg.rows, seg.seqs
+	fresh := make([]segRun[T], 0, len(x.sealed)-from)
+	for _, seg := range x.sealed[from:] {
+		fresh = append(fresh, segRun[T]{rows: seg.rows, seqs: seg.seqs})
 	}
-	rows, sq := mergeRuns(runs, seqs, x.at, true)
-	merged := &segRun[T]{rows: rows, seqs: sq}
-
-	carried := true
-	total := 0
-	for _, seg := range x.sealed {
-		if seg.hashes == nil {
-			carried = false
-			break
+	if len(x.sealed) > 1 {
+		runs := make([]segRun[T], len(x.sealed))
+		for i, seg := range x.sealed {
+			runs[i] = *seg
 		}
-		total += len(seg.rows)
-	}
-	if carried {
-		byRow := make(map[*T]uint64, total)
+		merged := mergeRuns(runs, x.at)
+		merged.agg, merged.committed = 0, 0
 		for _, seg := range x.sealed {
-			for i, p := range seg.rows {
-				byRow[p] = seg.hashes[i]
-			}
 			merged.agg ^= seg.agg
 			merged.committed += seg.committed
 		}
-		merged.hashes = make([]uint64, len(rows))
-		chain := chainSeed()
-		for i, p := range rows {
-			h := byRow[p]
-			merged.hashes[i] = h
-			chain = chainMix(chain, h)
+		merged.chain = chainSeed()
+		for _, h := range merged.hashes {
+			merged.chain = chainMix(merged.chain, h)
 		}
-		merged.chain = chain
+		x.sealed = []*segRun[T]{&merged}
 	}
-	x.sealed = []*segRun[T]{merged}
-}
-
-// single returns the lone sealed run after seal+compact (empty when the
-// index holds no rows) — the shard's contribution to the store-level
-// merged indices.
-func (x *segIndex[T]) single() ([]*T, []uint32) {
-	x.wait()
-	if len(x.sealed) == 0 {
-		return nil, nil
-	}
-	return x.sealed[0].rows, x.sealed[0].seqs
+	x.compacted = len(x.sealed)
+	return fresh
 }
 
 // segments reports the number of sealed segments (observability for the
@@ -332,62 +310,108 @@ func (x *segIndex[T]) reset() {
 	x.waitCommits()
 	x.sealed = nil
 	x.start = 0
+	x.compacted = 0
 	x.tail.Store(nil)
 }
 
-// mergeRuns k-way-merges (time, seq)-sorted runs into one globally sorted
-// run, ordering by (time, global sequence) — byte-identical to stable-
-// sorting the full ingest stream, for any segmentation and shard count.
-// Time keys are extracted once up front so the merge loop compares plain
-// integers. withSeqs selects whether the merged sequence array is built
-// too (the shard-level compaction needs it for future merges; the
-// store-level indices do not).
-func mergeRuns[T any](runs [][]*T, seqs [][]uint32, at func(*T) simtime.VTime, withSeqs bool) ([]*T, []uint32) {
-	mMergeWidth.Observe(float64(len(runs)))
-	if len(runs) == 1 {
-		if withSeqs {
-			return runs[0], seqs[0]
+// mergeRuns merges (time, seq)-sorted runs into one run in (time, global
+// sequence) order — byte-identical to stable-sorting the full ingest
+// stream by time, for any segmentation and shard count. It is the
+// package's one merge: live windows, compaction and Freeze all use it.
+// Runs merge pairwise, smallest first, so each row is copied about
+// log(k) times at most and a large run absorbing a few small ones is
+// copied once. Seqs travel with their rows; hashes do too when every run
+// carries them (compaction). A real merge builds fresh arrays and leaves
+// the other commitment fields zero; a lone non-empty run is returned as
+// is (sorted runs are immutable, so aliasing it is safe).
+func mergeRuns[T any](runs []segRun[T], at func(*T) simtime.VTime) segRun[T] {
+	live := make([]segRun[T], 0, len(runs))
+	for _, r := range runs {
+		if len(r.rows) > 0 {
+			live = append(live, r)
 		}
-		return runs[0], nil
 	}
-	total := 0
-	times := make([][]simtime.VTime, len(runs))
-	for i, run := range runs {
-		total += len(run)
-		ts := make([]simtime.VTime, len(run))
-		for k, p := range run {
-			ts[k] = at(p)
+	mMergeWidth.Observe(float64(len(live)))
+	if len(live) == 0 {
+		return segRun[T]{}
+	}
+	sort.SliceStable(live, func(i, j int) bool { return len(live[i].rows) < len(live[j].rows) })
+	for len(live) > 1 {
+		m := mergePair(live[0], live[1], at)
+		live = live[1:]
+		live[0] = m
+		for i := 1; i < len(live) && len(live[i].rows) < len(live[i-1].rows); i++ {
+			live[i], live[i-1] = live[i-1], live[i]
 		}
-		times[i] = ts
 	}
-	out := make([]*T, 0, total)
-	var outSeqs []uint32
-	if withSeqs {
-		outSeqs = make([]uint32, 0, total)
+	return live[0]
+}
+
+// mergePair merges two (time, seq)-sorted runs into fresh arrays. It walks
+// the shorter run and finds each of its rows' place in the longer one by
+// exponential, then binary search (gallop), copying the longer run's rows
+// in between as one block. The longer run's rows are dereferenced only at
+// probe points, so merging a few new rows into a large index costs
+// O(new · log(gap)) probes plus the block copies. Seqs are unique within
+// an index, so (time, seq) is a total order and the result does not
+// depend on which run is which.
+func mergePair[T any](a, b segRun[T], at func(*T) simtime.VTime) segRun[T] {
+	if len(a.rows) > len(b.rows) {
+		a, b = b, a
 	}
-	heads := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for i := range runs {
-			h := heads[i]
-			if h >= len(runs[i]) {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			hb := heads[best]
-			if times[i][h] < times[best][hb] ||
-				(times[i][h] == times[best][hb] && seqs[i][h] < seqs[best][hb]) {
-				best = i
-			}
+	n := len(a.rows) + len(b.rows)
+	hashed := a.hashes != nil && b.hashes != nil
+	out := segRun[T]{rows: make([]*T, n), seqs: make([]uint32, n)}
+	if hashed {
+		out.hashes = make([]uint64, n)
+	}
+	o, j := 0, 0
+	for i, p := range a.rows {
+		k := j + gallop(b.rows[j:], b.seqs[j:], at(p), a.seqs[i], at)
+		copy(out.rows[o:], b.rows[j:k])
+		copy(out.seqs[o:], b.seqs[j:k])
+		if hashed {
+			copy(out.hashes[o:], b.hashes[j:k])
 		}
-		out = append(out, runs[best][heads[best]])
-		if withSeqs {
-			outSeqs = append(outSeqs, seqs[best][heads[best]])
+		o += k - j
+		out.rows[o], out.seqs[o] = p, a.seqs[i]
+		if hashed {
+			out.hashes[o] = a.hashes[i]
 		}
-		heads[best]++
+		o++
+		j = k
 	}
-	return out, outSeqs
+	copy(out.rows[o:], b.rows[j:])
+	copy(out.seqs[o:], b.seqs[j:])
+	if hashed {
+		copy(out.hashes[o:], b.hashes[j:])
+	}
+	return out
+}
+
+// gallop returns how many leading rows of the sorted run (rows, seqs)
+// order before (t, s): it probes positions 0, 1, 3, 7, … until one does
+// not, then binary-searches the last gap.
+func gallop[T any](rows []*T, seqs []uint32, t simtime.VTime, s uint32, at func(*T) simtime.VTime) int {
+	before := func(k int) bool {
+		tk := at(rows[k])
+		return tk < t || (tk == t && seqs[k] < s)
+	}
+	if len(rows) == 0 || !before(0) {
+		return 0
+	}
+	lo, hi := 0, 1 // before(lo) holds; the answer lies in (lo, hi]
+	for hi < len(rows) && before(hi) {
+		lo, hi = hi, 2*hi+1
+	}
+	hi = min(hi, len(rows))
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if before(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }

@@ -1,10 +1,10 @@
 package metastore_test
 
 import (
-	"sort"
 	"testing"
 
 	"panrucio/internal/metastore"
+	"panrucio/internal/metastore/storetest"
 	"panrucio/internal/records"
 	"panrucio/internal/simtime"
 )
@@ -17,11 +17,12 @@ var fuzzPandaIDs = []int64{6_400_000_017, 6_400_000_001, 6_399_999_990, 6_400_00
 // sealed segments + tail through the public query surface. The input
 // bytes drive shard count, segment size, event times, and explicit Seal()
 // calls, so the fuzzer explores arbitrary segment boundaries; the oracle
-// is the definition of the merge itself — a stable sort of the full put
-// stream by time, which a single-run store trivially produces and which
-// any segmentation must reproduce byte-identically. Jobs get an oracle
-// outside the store the same way: the job put stream stable-sorted by
-// EndTime, cut to the window and label, then stable-sorted by pandaid.
+// (storetest.Oracle) is the definition of the merge itself — a stable sort
+// of the full put stream by time, which a single-run store trivially
+// produces and which any segmentation must reproduce byte-identically.
+// Jobs get an oracle outside the store the same way: the job put stream
+// stable-sorted by EndTime, cut to the window and label, then
+// stable-sorted by pandaid.
 //
 // Input layout: data[0] → segment rows (1..8), data[1] → shard count
 // (1..8), then one step per byte: 0xFF seals every shard's tail, any
@@ -42,8 +43,8 @@ func FuzzSegmentMerge(f *testing.F) {
 		shards := 1 + int(data[1]%8)
 		s := metastore.NewShardedSegmented(shards, segRows)
 
-		var model []records.TransferEvent
-		var jobModel []records.JobRecord
+		var st storetest.Stream
+		jobs := 0
 		for i, b := range data[2:] {
 			if b == 0xFF {
 				s.Seal()
@@ -57,27 +58,27 @@ func FuzzSegmentMerge(f *testing.F) {
 				EndedAt:   simtime.VTime(b%23) + 40,
 			}
 			s.PutTransfer(&ev)
-			model = append(model, ev)
+			st.AddTransfer(ev)
 
 			label := records.LabelUser
-			if len(jobModel)%2 == 1 {
+			if jobs%2 == 1 {
 				label = records.LabelManaged
 			}
+			jobs++
 			job := records.JobRecord{
 				PandaID:         fuzzPandaIDs[int(b/23)%len(fuzzPandaIDs)],
 				JediTaskID:      int64(1 + b%3),
 				Label:           label,
 				EndTime:         simtime.VTime(b % 23),
-				NInputFileBytes: int64(len(jobModel) + 1), // row id
+				NInputFileBytes: int64(jobs), // row id
 			}
 			s.PutJob(&job)
-			jobModel = append(jobModel, job)
+			st.AddJob(job)
 		}
 
 		// Oracle: the stable sort of the ingest stream by StartedAt.
-		want := make([]records.TransferEvent, len(model))
-		copy(want, model)
-		sort.SliceStable(want, func(i, j int) bool { return want[i].StartedAt < want[j].StartedAt })
+		oracle := st.Oracle(st.Len())
+		want := oracle.Transfers(0, 0)
 
 		check := func(label string, got []*records.TransferEvent, want []records.TransferEvent) {
 			if len(got) != len(want) {
@@ -92,22 +93,9 @@ func FuzzSegmentMerge(f *testing.F) {
 
 		// Job oracle: the put stream stable-sorted by EndTime (the window
 		// order), then cut and stable-sorted by pandaid per query.
-		byEnd := make([]records.JobRecord, len(jobModel))
-		copy(byEnd, jobModel)
-		sort.SliceStable(byEnd, func(i, j int) bool { return byEnd[i].EndTime < byEnd[j].EndTime })
-		wantJobs := func(lo, hi simtime.VTime, label records.SourceLabel) []records.JobRecord {
-			var out []records.JobRecord
-			for _, j := range byEnd {
-				if j.EndTime >= lo && j.EndTime < hi && (label == "" || j.Label == label) {
-					out = append(out, j)
-				}
-			}
-			sort.SliceStable(out, func(i, j int) bool { return out[i].PandaID < out[j].PandaID })
-			return out
-		}
 		checkJobs := func(path string, lo, hi simtime.VTime) {
 			for _, label := range []records.SourceLabel{"", records.LabelUser, records.LabelManaged} {
-				got, want := s.Jobs(lo, hi, label), wantJobs(lo, hi, label)
+				got, want := s.Jobs(lo, hi, label), oracle.Jobs(lo, hi, label)
 				if len(got) != len(want) {
 					t.Fatalf("%s Jobs(%d,%d,%q): %d jobs, want %d", path, lo, hi, label, len(got), len(want))
 				}
@@ -134,13 +122,7 @@ func FuzzSegmentMerge(f *testing.F) {
 		check("live full", s.Transfers(0, 0), want)
 		checkJobs("live", 0, 23)
 		if windowed {
-			var ww []records.TransferEvent
-			for _, ev := range want {
-				if ev.StartedAt >= lo && ev.StartedAt < hi {
-					ww = append(ww, ev)
-				}
-			}
-			check("live window", s.Transfers(lo, hi), ww)
+			check("live window", s.Transfers(lo, hi), oracle.Transfers(lo, hi))
 			checkJobs("live", lo, hi)
 		}
 

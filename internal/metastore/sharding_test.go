@@ -83,7 +83,7 @@ func TestShardCountEquivalence(t *testing.T) {
 				}
 				for i := range se {
 					if *se[i].File != *re[i].File ||
-						!reflect.DeepEqual(evValues(se[i].Candidates), evValues(re[i].Candidates)) {
+						!reflect.DeepEqual(evValues(se[i].Candidates()), evValues(re[i].Candidates())) {
 						t.Fatalf("shards=%d: JoinEntriesForJob(%d,%d)[%d] diverged", n, panda, task, i)
 					}
 				}
@@ -164,7 +164,7 @@ func TestResetReusedStoreMatchesFresh(t *testing.T) {
 			}
 			for i := range re {
 				if *re[i].File != *fe[i].File ||
-					!reflect.DeepEqual(evValues(re[i].Candidates), evValues(fe[i].Candidates)) {
+					!reflect.DeepEqual(evValues(re[i].Candidates()), evValues(fe[i].Candidates())) {
 					t.Fatalf("JoinEntriesForJob(%d,%d)[%d] diverged after reuse", panda, task, i)
 				}
 			}

@@ -130,8 +130,10 @@ func newServer(digest string, opt Options) *Server {
 // ingestion never overlaps a read. Pending readers are woken by the
 // Unlock and drain before the Lock re-acquires.
 //
-// The store is frozen before the window opens — an incremental freeze
-// that seals and merges only the records ingested since the last
+// The store is frozen before the window opens — an incremental freeze:
+// it sorts the tails ingested since the last checkpoint and merges only
+// those newly sealed runs into the store's time indices (join entries are
+// already bound at ingest), so its cost follows the rows since the last
 // checkpoint. Freezing here, on the ingest thread, is what makes the
 // window read-only in the strong sense: handlers that reach a
 // freeze-on-entry path (the parallel matcher) hit the idempotent fast
