@@ -156,6 +156,22 @@ func handler(o *options, s *serve.Server) http.Handler {
 	return mux
 }
 
+// Connection bounds of the HTTP server. A client gets readHeaderTimeout
+// to send its request headers and an idle keep-alive connection closes
+// after idleTimeout, so a client that stalls holds no connection forever.
+// MaxHeaderBytes keeps net/http's 1 MB default. There is no write
+// timeout: a cold E14 or E15 body can take longer to compute than any
+// deadline a fast endpoint would want.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the HTTP server main runs around the handler.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
@@ -177,7 +193,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := &http.Server{Handler: handler(o, s)}
+	srv := httpServer(handler(o, s))
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 

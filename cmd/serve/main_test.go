@@ -139,3 +139,20 @@ func TestHandlerWithoutPprof(t *testing.T) {
 		t.Fatalf("pprof without -pprof = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestHTTPServerBoundsConnections: the server main runs bounds how long a
+// client may take to send its headers and how long an idle keep-alive
+// connection stays open, so a stalled client cannot hold one forever.
+func TestHTTPServerBoundsConnections(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := httpServer(h)
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v > 0", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v > 0", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Fatal("server has no handler")
+	}
+}

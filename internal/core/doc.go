@@ -23,14 +23,17 @@
 // site inferences and quantify the exact-match uplift. The matcher probes
 // the store's per-job join entries, which the segmented store answers at
 // any point mid-run — MatchJob needs no Freeze and is the query surface of
-// the sim.RunWithObserver checkpoints. Run and RunParallel still freeze the
-// store up front: their worker goroutines require the read-only frozen
-// state, which is what makes sharding by job safe.
+// the sim.RunWithObserver checkpoints. The store hands out join entries
+// only for jobs with at least one candidate transfer, so a job that cannot
+// match costs one map miss. Run and RunParallel still freeze the store up
+// front: their worker goroutines require the read-only frozen state, which
+// is what makes splitting the job set safe.
 //
-// Determinism invariant: Run and RunParallel are one streaming pipeline
-// whose aggregate is order-insensitive and whose Matches are sorted by
-// pandaid (input position breaking ties), so results are identical for any
-// worker count, byte for byte. The historical nested-loop matcher survives
+// Determinism invariant: Run and RunParallel are one streaming pipeline in
+// which each worker matches one contiguous range of the job slice, the
+// aggregate is order-insensitive and Matches are sorted by pandaid (input
+// position breaking ties), so results are identical for any worker count,
+// byte for byte. The historical nested-loop matcher survives
 // as the unexported matchJobReference, the oracle of the randomized
 // equivalence tests and the baseline of the MatchRun benchmarks.
 package core

@@ -29,8 +29,11 @@ func reportBytesPerEvent(b *testing.B, before uint64, store *metastore.Store) {
 // benchStore builds a store shaped like the paper's workload: tasks whose
 // candidate transfer lists grow with jobs-per-task × files-per-job, so the
 // nested loop pays O(files × candidates) per job while the index pays
-// O(files).
-func benchStore(tasks, jobsPerTask, filesPerJob int) (*metastore.Store, []*records.JobRecord) {
+// O(files). One job in every candidateEvery has candidates: the other
+// jobs' transfers carry an LFN no file row names, so they stay in their
+// task's candidate list but match nothing, and the store holds the same
+// rows for any share.
+func benchStore(tasks, jobsPerTask, filesPerJob, candidateEvery int) (*metastore.Store, []*records.JobRecord) {
 	store := metastore.New()
 	var jobs []*records.JobRecord
 	eventID := int64(1)
@@ -52,8 +55,12 @@ func benchStore(tasks, jobsPerTask, filesPerJob int) (*metastore.Store, []*recor
 				}
 				inBytes += f.FileSize
 				store.PutFile(f)
+				lfn := f.LFN
+				if len(jobs)%candidateEvery != 0 {
+					lfn += ".other"
+				}
 				store.PutTransfer(&records.TransferEvent{
-					EventID: eventID, LFN: f.LFN, Scope: f.Scope,
+					EventID: eventID, LFN: lfn, Scope: f.Scope,
 					Dataset: f.Dataset, ProdDBlock: f.ProdDBlock, FileSize: f.FileSize,
 					SourceSite: "CERN-PROD", DestinationSite: "CERN-PROD",
 					Activity: records.AnalysisDownload, IsDownload: true,
@@ -71,52 +78,48 @@ func benchStore(tasks, jobsPerTask, filesPerJob int) (*metastore.Store, []*recor
 	return store, jobs
 }
 
-// BenchmarkMatchRunIndexed is the indexed fast path over a 50-task,
-// 40-jobs-per-task, 8-files-per-job store (2,000 jobs, 16,000 events;
-// candidate lists of 320 events per task).
-func BenchmarkMatchRunIndexed(b *testing.B) {
-	store, jobs := benchStore(50, 40, 8)
+// benchMatchRun times one Exact pass over a 50-task, 40-jobs-per-task,
+// 8-files-per-job store (2,000 jobs, 16,000 events; candidate lists of
+// 320 events per task) in which one job in every candidateEvery has
+// candidates.
+func benchMatchRun(b *testing.B, candidateEvery int, pass func(*Matcher, []*records.JobRecord) *Result) {
+	store, jobs := benchStore(50, 40, 8, candidateEvery)
 	m := NewMatcher(store)
 	b.ReportAllocs()
 	b.ResetTimer()
 	before := measureAllocs()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		matched = m.Run(jobs, Exact).MatchedJobs
+		matched = pass(m, jobs).MatchedJobs
 	}
 	reportBytesPerEvent(b, before, store)
 	b.ReportMetric(float64(matched), "matched_jobs")
 }
+
+func indexedPass(m *Matcher, jobs []*records.JobRecord) *Result   { return m.Run(jobs, Exact) }
+func referencePass(m *Matcher, jobs []*records.JobRecord) *Result { return m.runReference(jobs, Exact) }
+func parallelPass(m *Matcher, jobs []*records.JobRecord) *Result {
+	return m.RunParallel(jobs, Exact, 4)
+}
+
+// BenchmarkMatchRunIndexed is the indexed fast path with every job
+// holding candidates.
+func BenchmarkMatchRunIndexed(b *testing.B) { benchMatchRun(b, 1, indexedPass) }
 
 // BenchmarkMatchRunReference is the same pass through the retained
 // nested-loop oracle — the before side of the speedup recorded in
 // CHANGES.md.
-func BenchmarkMatchRunReference(b *testing.B) {
-	store, jobs := benchStore(50, 40, 8)
-	m := NewMatcher(store)
-	b.ReportAllocs()
-	b.ResetTimer()
-	before := measureAllocs()
-	var matched int
-	for i := 0; i < b.N; i++ {
-		matched = m.runReference(jobs, Exact).MatchedJobs
-	}
-	reportBytesPerEvent(b, before, store)
-	b.ReportMetric(float64(matched), "matched_jobs")
-}
+func BenchmarkMatchRunReference(b *testing.B) { benchMatchRun(b, 1, referencePass) }
 
-// BenchmarkMatchRunParallel measures the sharded pipeline at 4 workers on
-// the indexed path.
-func BenchmarkMatchRunParallel(b *testing.B) {
-	store, jobs := benchStore(50, 40, 8)
-	m := NewMatcher(store)
-	b.ReportAllocs()
-	b.ResetTimer()
-	before := measureAllocs()
-	var matched int
-	for i := 0; i < b.N; i++ {
-		matched = m.RunParallel(jobs, Exact, 4).MatchedJobs
-	}
-	reportBytesPerEvent(b, before, store)
-	b.ReportMetric(float64(matched), "matched_jobs")
-}
+// BenchmarkMatchRunParallel measures the pipeline at 4 workers on the
+// indexed path, every job holding candidates.
+func BenchmarkMatchRunParallel(b *testing.B) { benchMatchRun(b, 1, parallelPass) }
+
+// BenchmarkMatchRunIndexedSparse is BenchmarkMatchRunIndexed with
+// candidates for one job in 80, about the share of a PaperConfig(1)
+// window's user jobs that have any (549 of 46,952, 1.2%).
+func BenchmarkMatchRunIndexedSparse(b *testing.B) { benchMatchRun(b, 80, indexedPass) }
+
+// BenchmarkMatchRunParallelSparse is BenchmarkMatchRunParallel at the
+// same sparse share.
+func BenchmarkMatchRunParallelSparse(b *testing.B) { benchMatchRun(b, 80, parallelPass) }

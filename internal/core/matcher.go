@@ -294,7 +294,7 @@ func (r *Result) MatchedJobPct() float64 {
 }
 
 // Run applies one strategy to a job set and aggregates the outcome. It is
-// the single-worker case of the sharded streaming pipeline in parallel.go;
+// the single-worker case of the streaming pipeline in parallel.go;
 // Matches come back ordered by pandaid.
 func (m *Matcher) Run(jobs []*records.JobRecord, method Method) *Result {
 	return m.run(jobs, method, 1)

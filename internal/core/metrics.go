@@ -6,7 +6,7 @@ import "panrucio/internal/obs"
 // path (one atomic add per MatchJob; cost pinned by bench/BENCH_obs.json);
 // pass and worker timings are recorded once per matching pass and once per
 // worker goroutine respectively, so a scrape shows both how many passes
-// ran and how evenly the shard-affine job assignment balanced them.
+// ran and how evenly the contiguous job ranges balanced them.
 var (
 	mMatchProbes = obs.Default().Counter("core_match_probes_total",
 		"MatchJob probes (jobs evaluated, across all methods and matchers)")

@@ -12,7 +12,7 @@ import (
 // instrumentation touches; the on/off delta must stay <= 5% (recorded in
 // bench/BENCH_obs.json).
 func benchMatchObs(b *testing.B, enabled bool) {
-	store, jobs := benchStore(50, 40, 8)
+	store, jobs := benchStore(50, 40, 8, 1)
 	m := NewMatcher(store)
 	obs.SetEnabled(enabled)
 	defer obs.SetEnabled(true)

@@ -15,19 +15,22 @@ import (
 // analysis designs, such as parallelization, will be especially
 // valuable"). The metastore is frozen up front — live queries maintain
 // per-shard caches, so only the frozen (read-only) state may be shared by
-// worker goroutines — making sharding by job safe; results are aggregated
-// by a single streaming routine and Matches are ordered by pandaid, making
-// the output identical to Run's.
+// worker goroutines — making splitting the job set safe; results are
+// aggregated by a single streaming routine and Matches are ordered by
+// pandaid, making the output identical to Run's.
 //
 // workers <= 0 selects GOMAXPROCS.
 func (m *Matcher) RunParallel(jobs []*records.JobRecord, method Method, workers int) *Result {
 	return m.run(jobs, method, workers)
 }
 
-// run is the unified matching pipeline behind Run and RunParallel: shard
-// the job set across workers, stream every match into one aggregator, and
-// sort the merged matches by pandaid. workers == 1 is the degenerate case
-// that runs inline with no goroutines or channel.
+// run is the unified matching pipeline behind Run and RunParallel: give
+// each worker one contiguous range of the job slice, stream every match
+// into one aggregator, and sort the merged matches by pandaid. workers == 1
+// is the degenerate case that runs inline with no goroutines or channel.
+// Ranges need no pre-pass over the jobs: which worker evaluates a job
+// changes no result, because the aggregator is order-insensitive and
+// finish imposes the pandaid order.
 func (m *Matcher) run(jobs []*records.JobRecord, method Method, workers int) *Result {
 	// Freeze up front so worker goroutines hit a read-only store.
 	m.store.Freeze()
@@ -56,20 +59,20 @@ func (m *Matcher) run(jobs []*records.JobRecord, method Method, workers int) *Re
 	}
 
 	matches := make(chan indexedMatch, 4*workers)
-	assign := m.assignJobs(jobs, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		lo, hi := w*len(jobs)/workers, (w+1)*len(jobs)/workers
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			t0 := time.Now()
-			for _, i := range assign[w] {
+			for i := lo; i < hi; i++ {
 				if evs := m.MatchJob(jobs[i], method); len(evs) > 0 {
 					matches <- indexedMatch{i, Match{Job: jobs[i], Transfers: evs}}
 				}
 			}
 			mMatchWorkerSeconds.ObserveSince(t0)
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -79,30 +82,6 @@ func (m *Matcher) run(jobs []*records.JobRecord, method Method, workers int) *Re
 		agg.add(im.idx, im.match)
 	}
 	return agg.finish(len(jobs))
-}
-
-// assignJobs partitions the job set across workers. When the worker pool
-// fits within the store's shard count, jobs are assigned shard-affine —
-// worker = shard(task) mod workers — so each worker's probes stay within a
-// bounded set of shard arenas (and, at workers == ShardCount, exactly one),
-// keeping its scans cache-local. With more workers than shards the affine
-// map would leave workers idle, so it falls back to striding. The
-// assignment only decides which goroutine evaluates a job: the aggregator
-// is order-insensitive and finish imposes the pandaid total order, so the
-// output is identical either way.
-func (m *Matcher) assignJobs(jobs []*records.JobRecord, workers int) [][]int {
-	assign := make([][]int, workers)
-	if workers > 1 && workers <= m.store.ShardCount() {
-		for i, j := range jobs {
-			w := m.store.ShardFor(j.JediTaskID) % workers
-			assign[w] = append(assign[w], i)
-		}
-		return assign
-	}
-	for i := range jobs {
-		assign[i%workers] = append(assign[i%workers], i)
-	}
-	return assign
 }
 
 // indexedMatch tags a match with its job's position in the input slice so

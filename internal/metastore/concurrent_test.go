@@ -43,10 +43,9 @@ func snapshot(s *metastore.Store) *queryBaseline {
 	b.all = storetest.EvValues(s.Transfers(0, 0))
 	m := core.NewMatcher(s)
 	for _, j := range s.Jobs(0, 20, "") {
-		entries := s.JoinEntriesForJob(j.PandaID, j.JediTaskID)
-		b.entries = append(b.entries, len(entries))
-		for _, e := range entries {
-			tk := taskKey{j.JediTaskID, metastore.FileKey(e.File)}
+		b.entries = append(b.entries, len(s.JoinEntriesForJob(j.PandaID, j.JediTaskID)))
+		for _, f := range s.FilesForJob(j.PandaID, j.JediTaskID) {
+			tk := taskKey{j.JediTaskID, metastore.FileKey(f)}
 			b.keyProbes[tk] = storetest.EvValues(s.TaskTransfersByKey(tk.jedi, tk.key))
 		}
 		b.matches = append(b.matches, eventIDs(m.MatchJob(j, core.RM2)))

@@ -19,8 +19,11 @@
 // bind every JEDI file row to its candidate bucket — the events of its
 // task sharing its join key — as it is put; a row whose key has no event
 // yet waits on its task's parked list until the key's first event binds
-// it. JoinEntriesForJob therefore reads one map on a live store and a
-// frozen one alike. The sorted time order behind the ranged queries Jobs
+// it. A job's rows form one group, kept in a map of bound groups once any
+// row has a bucket and in a map of unbound groups until then; most groups
+// never bind, so JoinEntriesForJob reads only the smaller bound map, on a
+// live store and a frozen one alike, and FilesForJob reads whichever map
+// holds the group. The sorted time order behind the ranged queries Jobs
 // and Transfers is an epoch/segment structure per shard
 // (NewShardedSegmented sizes it): rows
 // land in a mutable tail whose sorted view is cached lazily; when the tail
@@ -45,7 +48,7 @@
 // not mutate results.
 //
 // Concurrency invariant: the store is safe for concurrent readers only
-// after Freeze (the matcher's sharded pipeline relies on this). Live
+// after Freeze (the matcher's parallel pipeline relies on this). Live
 // queries are single-threaded with ingestion — they maintain per-shard
 // caches — but may interleave with it freely, and background segment
 // sorts overlap ingestion safely (readers synchronize on the seal before

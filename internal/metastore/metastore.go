@@ -149,10 +149,9 @@ func (s *Store) SealedSegments() int {
 	return n
 }
 
-// ShardFor returns the shard index owning a JEDI task — exposed so the
-// matcher pipeline can give each worker shard-affine job subsets (one
-// worker's probes then stay within one shard's arenas).
-func (s *Store) ShardFor(jediTaskID int64) int {
+// shardFor returns the index of the shard owning a JEDI task: every row
+// and every per-task index of the task lives there.
+func (s *Store) shardFor(jediTaskID int64) int {
 	return int(mixTask(jediTaskID) % uint64(len(s.shards)))
 }
 
@@ -180,7 +179,7 @@ func (s *Store) nextSeq() uint32 {
 func (s *Store) PutJob(j *records.JobRecord) {
 	cp := *j
 	cp.ComputingSite = s.strings.canon(cp.ComputingSite)
-	p, sealed := s.shards[s.ShardFor(cp.JediTaskID)].putJob(cp, s.nextSeq())
+	p, sealed := s.shards[s.shardFor(cp.JediTaskID)].putJob(cp, s.nextSeq())
 	s.jobsByID[cp.PandaID] = p
 	s.pendJobs++
 	if sealed {
@@ -206,7 +205,7 @@ func (s *Store) PutFile(f *records.FileRecord) {
 	cp.Scope = s.strings.strs[key.scope]
 	cp.Dataset = s.strings.strs[key.dataset]
 	cp.ProdDBlock = s.strings.strs[key.prodDBlock]
-	s.shards[s.ShardFor(cp.JediTaskID)].putFile(cp, key)
+	s.shards[s.shardFor(cp.JediTaskID)].putFile(cp, key)
 	s.pendFiles++
 	s.frozen.Store(false)
 }
@@ -237,7 +236,7 @@ func (s *Store) PutTransfer(ev *records.TransferEvent) {
 	seq := s.nextSeq()
 	var sh *shard
 	if cp.JediTaskID != 0 {
-		sh = s.shards[s.ShardFor(cp.JediTaskID)]
+		sh = s.shards[s.shardFor(cp.JediTaskID)]
 		s.withTaskID++
 		s.taskByActivity[cp.Activity]++
 	} else {
@@ -411,12 +410,14 @@ func (e JoinEntry) Candidates() []*records.TransferEvent {
 
 // JoinEntriesForJob returns the job's file rows (Algorithm 1's F'_j) in
 // ingestion order with their join buckets bound — the matcher's per-job
-// probe, which lives entirely in the task's shard. The entries are bound
-// as rows and events are put, so the call is one hash route plus one map
-// lookup — no join-key hashing and no allocation — on a live store and a
-// frozen one alike.
+// probe, which lives entirely in the task's shard — or nil when none of
+// the rows has a candidate yet, since such a job cannot match under any
+// method. The entries are bound as rows and events are put, so the call
+// is one hash route plus one lookup in the shard's map of bound groups —
+// no join-key hashing and no allocation — on a live store and a frozen
+// one alike.
 func (s *Store) JoinEntriesForJob(pandaID, jediTaskID int64) []JoinEntry {
-	return s.shards[s.ShardFor(jediTaskID)].entries[pandaTask{pandaID, jediTaskID}]
+	return s.shards[s.shardFor(jediTaskID)].bound[pandaTask{pandaID, jediTaskID}]
 }
 
 // Counts of ingested records.
@@ -527,11 +528,11 @@ func (s *Store) Job(pandaID int64) (*records.JobRecord, bool) {
 
 // FilesForJob returns the JEDI file rows carrying the given pandaid and
 // jeditaskid in ingestion order — Algorithm 1's F'_j subset, read off the
-// job's join entries in its task's shard. The result is a fresh slice
-// (nil when there are none).
+// job's join entries in its task's shard, bound or not. The result is a
+// fresh slice (nil when there are none).
 func (s *Store) FilesForJob(pandaID, jediTaskID int64) []*records.FileRecord {
 	var out []*records.FileRecord
-	for _, e := range s.JoinEntriesForJob(pandaID, jediTaskID) {
+	for _, e := range s.shards[s.shardFor(jediTaskID)].group(pandaTask{pandaID, jediTaskID}) {
 		out = append(out, e.File)
 	}
 	return out
@@ -540,7 +541,7 @@ func (s *Store) FilesForJob(pandaID, jediTaskID int64) []*records.FileRecord {
 // TransfersByTaskID returns the transfer events carrying a jeditaskid, in
 // ingestion order — a single-shard probe.
 func (s *Store) TransfersByTaskID(jedi int64) []*records.TransferEvent {
-	return s.shards[s.ShardFor(jedi)].evByTask[jedi]
+	return s.shards[s.shardFor(jedi)].evByTask[jedi]
 }
 
 // TaskTransfersByKey returns the events of one JEDI task sharing the join
@@ -565,7 +566,7 @@ func (s *Store) TaskTransfersByKey(jedi int64, key JoinKey) []*records.TransferE
 		return nil
 	}
 	sk := taskSymKey{jedi, symKey{lfn, scope, ds, pdb}}
-	if b := s.shards[s.ShardFor(jedi)].evByTaskKey[sk]; b != nil {
+	if b := s.shards[s.shardFor(jedi)].evByTaskKey[sk]; b != nil {
 		return *b
 	}
 	return nil

@@ -39,10 +39,15 @@ type shard struct {
 	buckets     arena[[]*records.TransferEvent]
 	evByTaskKey map[taskSymKey]*[]*records.TransferEvent
 
-	// entries holds every file row, bound to its candidate bucket, grouped
-	// by (pandaid, jeditaskid) in ingestion order: the matcher's per-job
-	// probe and FilesForJob read it directly, mid-run or frozen.
-	entries map[pandaTask][]JoinEntry
+	// The file rows, each with its candidate bucket (nil while unbound),
+	// grouped by (pandaid, jeditaskid) in ingestion order. A group sits in
+	// bound once any of its rows has a bucket and in unbound until then;
+	// it moves when its first row binds, and never moves back. Most groups
+	// never bind, nor do ~98% of a window's user jobs, so the matcher's
+	// per-job probe reads bound alone and a job that cannot match costs
+	// one miss in the smaller map. FilesForJob reads whichever map holds
+	// the group.
+	bound, unbound map[pandaTask][]JoinEntry
 
 	// parked lists, per task, the files-arena rows whose join key had no
 	// bucket when they were put: 4 bytes per row, because most file keys
@@ -58,7 +63,8 @@ func newShard(segRows int) *shard {
 	sh := &shard{
 		evByTask:    make(map[int64][]*records.TransferEvent),
 		evByTaskKey: make(map[taskSymKey]*[]*records.TransferEvent),
-		entries:     make(map[pandaTask][]JoinEntry),
+		bound:       make(map[pandaTask][]JoinEntry),
+		unbound:     make(map[pandaTask][]JoinEntry),
 		parked:      make(map[int64][]uint32),
 	}
 	sh.jobSegs.at, sh.jobSegs.limit = jobEnd, segRows
@@ -88,8 +94,19 @@ func (sh *shard) putFile(f records.FileRecord, key symKey) {
 			sh.parked[f.JediTaskID] = append(sh.parked[f.JediTaskID], row)
 		}
 	}
+	// Most rows are unbound and join an unbound group, so that case is
+	// tested first and costs what one map did.
 	pt := pandaTask{f.PandaID, f.JediTaskID}
-	sh.entries[pt] = append(sh.entries[pt], e)
+	if g, ok := sh.unbound[pt]; ok && e.bucket == nil {
+		sh.unbound[pt] = append(g, e)
+	} else if g, ok := sh.bound[pt]; ok {
+		sh.bound[pt] = append(g, e)
+	} else if e.bucket != nil {
+		sh.bound[pt] = append(sh.unbound[pt], e)
+		delete(sh.unbound, pt)
+	} else {
+		sh.unbound[pt] = []JoinEntry{e}
+	}
 }
 
 // putTransfer ingests one event row (already canonicalized by the store);
@@ -114,8 +131,9 @@ func (sh *shard) putTransfer(ev records.TransferEvent, key symKey, seq uint32) b
 }
 
 // bind points the parked entries of ev's task that share ev's join key at
-// the key's new bucket b and takes them off the task's parked list. Both
-// rows hold canonical strings, so equal keys compare by pointer.
+// the key's new bucket b, moves each entry's group to bound if it is not
+// there yet, and takes the rows off the task's parked list. Both rows hold
+// canonical strings, so equal keys compare by pointer.
 func (sh *shard) bind(ev *records.TransferEvent, b *[]*records.TransferEvent) {
 	list := sh.parked[ev.JediTaskID]
 	kept := list[:0]
@@ -125,7 +143,10 @@ func (sh *shard) bind(ev *records.TransferEvent, b *[]*records.TransferEvent) {
 			kept = append(kept, row)
 			continue
 		}
-		entries := sh.entries[pandaTask{f.PandaID, f.JediTaskID}]
+		pt := pandaTask{f.PandaID, f.JediTaskID}
+		entries := sh.group(pt)
+		sh.bound[pt] = entries
+		delete(sh.unbound, pt)
 		for i := range entries {
 			if entries[i].File == f {
 				entries[i].bucket = b
@@ -139,6 +160,15 @@ func (sh *shard) bind(ev *records.TransferEvent, b *[]*records.TransferEvent) {
 	case len(kept) < len(list):
 		sh.parked[ev.JediTaskID] = kept
 	}
+}
+
+// group returns the entries of one (pandaid, jeditaskid) group from
+// whichever map holds it.
+func (sh *shard) group(pt pandaTask) []JoinEntry {
+	if g, ok := sh.bound[pt]; ok {
+		return g
+	}
+	return sh.unbound[pt]
 }
 
 // seal closes both tails into sealed segments (sorting in the background);
@@ -171,6 +201,7 @@ func (sh *shard) reset() {
 	sh.evSeq = sh.evSeq[:0]
 	clear(sh.evByTask)
 	clear(sh.evByTaskKey)
-	clear(sh.entries)
+	clear(sh.bound)
+	clear(sh.unbound)
 	clear(sh.parked)
 }

@@ -290,10 +290,17 @@ func (o *Oracle) TaskTransfersByKey(task int64, key metastore.JoinKey) []records
 
 // JoinEntriesForJob is FilesForJob with each row's candidates: the
 // prefix's events of the row's task with the row's join key, in put order.
+// It is nil when no row has a candidate, since such a job cannot match.
 func (o *Oracle) JoinEntriesForJob(panda, task int64) []Entry {
 	var out []Entry
+	bound := false
 	for _, f := range o.FilesForJob(panda, task) {
-		out = append(out, Entry{File: f, Candidates: o.TaskTransfersByKey(task, metastore.FileKey(&f))})
+		c := o.TaskTransfersByKey(task, metastore.FileKey(&f))
+		bound = bound || len(c) > 0
+		out = append(out, Entry{File: f, Candidates: c})
+	}
+	if !bound {
+		return nil
 	}
 	return out
 }
@@ -337,7 +344,10 @@ func (o *Oracle) Jobs(from, to simtime.VTime, label records.SourceLabel) []recor
 // CheckJoins compares the store's matcher-facing probes —
 // JoinEntriesForJob, FilesForJob and TaskTransfersByKey — with the oracle
 // for every pandaid × jeditaskid and every task × join key the prefix
-// uses, plus ids it never used, and returns the first difference.
+// uses, plus ids it never used, and returns the first difference. A job
+// whose rows have no candidate must get no join entries yet keep every
+// file row, so this also holds the store's split of groups into bound
+// and unbound to the put stream.
 func (o *Oracle) CheckJoins(s *metastore.Store) error {
 	tasks, pandas := sortedIDs(o.tasks), sortedIDs(o.pandas)
 	for _, panda := range pandas {
