@@ -96,15 +96,18 @@ func BenchmarkFig2VolumeGrowth(b *testing.B) {
 }
 
 // BenchmarkFig3Heatmap regenerates the site-to-site transfer matrix (E2).
-// Metric: local (diagonal) volume fraction in percent (paper: 77).
+// Metrics: build time per window event, and the local (diagonal) volume
+// fraction in percent (paper: 77).
 func BenchmarkFig3Heatmap(b *testing.B) {
-	s := sharedSuite()
+	res := sharedSuite().Result
+	events := len(res.Store.Transfers(res.WindowFrom, res.WindowTo))
 	b.ResetTimer()
 	var local float64
 	for i := 0; i < b.N; i++ {
-		h := analysis.BuildHeatmap(s.Result.Store, s.Result.Grid, s.Result.WindowFrom, s.Result.WindowTo)
+		h := analysis.BuildHeatmap(res.Store, res.Grid, res.WindowFrom, res.WindowTo)
 		local = 100 * h.LocalFraction()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 	b.ReportMetric(local, "local_pct")
 }
 

@@ -14,5 +14,10 @@
 // mutation of the store. Windowed computations use the store's sorted
 // time indices (built by Freeze), and Table 1's denominators come from
 // ingest-time counters rather than event-log scans, so the analyses stay
-// cheap enough to run per sweep scenario.
+// cheap enough to run per sweep scenario. BuildHeatmap resolves endpoint
+// labels through a per-call table keyed by string identity (data pointer
+// and length, read with unsafe.StringData: the package's one use of
+// unsafe). Its answers are Grid.SiteIndex's whatever the labels' backings,
+// so the heatmap equals the per-event SiteIndex loop bit for bit; that
+// loop is the oracle of its tests and of FuzzBuildHeatmap.
 package analysis

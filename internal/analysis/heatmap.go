@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"panrucio/internal/metastore"
 	"panrucio/internal/report"
@@ -36,7 +37,9 @@ type HeatmapCellStat struct {
 // BuildHeatmap accumulates transfer volume per directed site pair within
 // [from, to). It reads the raw event stream — like the paper's Fig. 3, it
 // does not require matching — through the metastore's StartedAt index, so
-// narrow windows only touch the events they contain.
+// narrow windows only touch the events they contain. Endpoints resolve to
+// axes through a siteResolver, so each distinct label string costs one
+// Grid.SiteIndex lookup rather than one per event.
 func BuildHeatmap(store *metastore.Store, grid *topology.Grid, from, to simtime.VTime) *Heatmap {
 	n := grid.NumAxes()
 	h := &Heatmap{Grid: grid, Cells: make([][]float64, n)}
@@ -46,9 +49,10 @@ func BuildHeatmap(store *metastore.Store, grid *topology.Grid, from, to simtime.
 	for i := 0; i < n; i++ {
 		h.Labels = append(h.Labels, grid.AxisLabel(i))
 	}
+	sites := siteResolver{grid: grid}
 	for _, ev := range store.Transfers(from, to) {
-		i := grid.SiteIndex(ev.SourceSite)
-		j := grid.SiteIndex(ev.DestinationSite)
+		i := sites.axis(ev.SourceSite)
+		j := sites.axis(ev.DestinationSite)
 		b := float64(ev.FileSize)
 		h.Cells[i][j] += b
 		h.TotalBytes += b
@@ -66,6 +70,53 @@ func BuildHeatmap(store *metastore.Store, grid *topology.Grid, from, to simtime.
 	h.MeanCell = stats.Mean(flat)
 	h.GeoMeanCell = stats.GeoMean(flat)
 	return h
+}
+
+// siteResolver answers grid.SiteIndex for the endpoint strings of one
+// BuildHeatmap call from a fixed direct-mapped table keyed by each string's
+// identity: its data pointer and its length. Go strings are immutable, so
+// two strings with the same pointer and length hold the same bytes, and a
+// slot can only answer what SiteIndex would. A string not in its slot —
+// seen for the first time, or evicted by another identity hashing there —
+// falls back to SiteIndex and takes the slot, so the answers never depend
+// on how the producer built its strings; only the hit rate does. The
+// metastore interns endpoint labels at ingest, so a window's events share
+// a few hundred backings and nearly every lookup hits.
+//
+// Slots hold the data pointer as a *byte, not a uintptr, so the collector
+// keeps every keyed backing alive while the table exists and no address
+// can be reused by another string of the same length.
+type siteResolver struct {
+	grid  *topology.Grid
+	slots [1 << resolverBits]resolverSlot
+}
+
+// resolverBits sizes the table at 512 slots, over twice the 215 distinct
+// endpoint identities of PaperConfig(7)'s study window.
+const resolverBits = 9
+
+type resolverSlot struct {
+	data *byte
+	n    int
+	axis int
+}
+
+// axis is grid.SiteIndex(s). A string with no data pointer (the zero
+// string) never hits: an empty slot would otherwise answer axis 0.
+func (r *siteResolver) axis(s string) int {
+	p := unsafe.StringData(s)
+	e := &r.slots[resolverSlotOf(p, len(s))]
+	if e.data == p && e.n == len(s) && p != nil {
+		return e.axis
+	}
+	*e = resolverSlot{data: p, n: len(s), axis: r.grid.SiteIndex(s)}
+	return e.axis
+}
+
+// resolverSlotOf spreads a string identity over the table by Fibonacci
+// hashing: the top resolverBits bits of (pointer + length) times 2^64/φ.
+func resolverSlotOf(p *byte, n int) uint64 {
+	return (uint64(uintptr(unsafe.Pointer(p))) + uint64(n)) * 0x9E3779B97F4A7C15 >> (64 - resolverBits)
 }
 
 // LocalFraction is diagonal volume over total (paper: 737.85/957.98 PB).

@@ -177,9 +177,16 @@ func NewMatcher(store *metastore.Store) *Matcher { return &Matcher{store: store}
 // candidate list per row (the original nested loop survives as
 // matchJobReference, the oracle of the equivalence tests). A transfer
 // matched by more than one file row is kept once, preserving Exact's
-// whole-set size-sum semantics.
+// whole-set size-sum semantics. Each call counts one probe in
+// core_match_probes_total.
 func (m *Matcher) MatchJob(j *records.JobRecord, method Method) []*records.TransferEvent {
 	mMatchProbes.Inc()
+	return m.matchJob(j, method)
+}
+
+// matchJob is MatchJob without the probe count: a matching pass counts its
+// jobs once, so its workers share no counter cache line per job.
+func (m *Matcher) matchJob(j *records.JobRecord, method Method) []*records.TransferEvent {
 	entries := m.store.JoinEntriesForJob(j.PandaID, j.JediTaskID) // F'_j with buckets bound
 	if len(entries) == 0 {
 		return nil

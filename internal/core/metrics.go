@@ -2,11 +2,12 @@ package core
 
 import "panrucio/internal/obs"
 
-// Process-wide matcher metrics. The probe counter sits on the per-job hot
-// path (one atomic add per MatchJob; cost pinned by bench/BENCH_obs.json);
-// pass and worker timings are recorded once per matching pass and once per
-// worker goroutine respectively, so a scrape shows both how many passes
-// ran and how evenly the contiguous job ranges balanced them.
+// Process-wide matcher metrics. The probe counter moves once per matching
+// pass (by its job count) and once per direct MatchJob call, so no worker
+// touches it per job; pass and worker timings are recorded once per
+// matching pass and once per worker goroutine respectively, so a scrape
+// shows both how many passes ran and how evenly the contiguous job ranges
+// balanced them.
 var (
 	mMatchProbes = obs.Default().Counter("core_match_probes_total",
 		"MatchJob probes (jobs evaluated, across all methods and matchers)")

@@ -7,10 +7,10 @@ import (
 )
 
 // benchMatchObs is the matcher half of the observability overhead probe:
-// the identical indexed matching pass with the metrics gate on or off.
-// MatchJob bumps one counter per probe, so this is the tightest loop the
-// instrumentation touches; the on/off delta must stay <= 5% (recorded in
-// bench/BENCH_obs.json).
+// the identical indexed matching pass with the metrics gate on or off. A
+// pass counts its probes once and times itself and each worker, so the
+// instrumentation costs a few atomic operations per pass; the on/off delta
+// must stay <= 5% (recorded in bench/BENCH_obs.json).
 func benchMatchObs(b *testing.B, enabled bool) {
 	store, jobs := benchStore(50, 40, 8, 1)
 	m := NewMatcher(store)
