@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -200,13 +201,15 @@ type metrics struct {
 	ScrapeWarning     string  `json:"scrape_warning,omitempty"`
 }
 
-// percentile is the nearest-rank percentile of a sorted latency slice.
+// percentile is the nearest-rank percentile of a sorted latency slice: the
+// value at 1-based rank ⌈q·n⌉, the smallest sample with at least a q share
+// of the samples at or below it.
 func percentile(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)-1))
-	return float64(sorted[i].Microseconds())
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return float64(sorted[min(max(rank, 1), len(sorted))-1].Microseconds())
 }
 
 // get issues one request, drains the body, and reports success and

@@ -65,6 +65,20 @@ func TestPercentile(t *testing.T) {
 	if p := percentile(nil, 0.5); p != 0 {
 		t.Errorf("empty p50 = %g", p)
 	}
+	// Nearest rank is rank ⌈q·n⌉: at small n it is not index ⌊q·(n−1)⌋.
+	for _, c := range []struct {
+		n    int
+		q    float64
+		want float64 // the rank, in ms
+	}{
+		{1, 0.50, 1}, {1, 0.95, 1}, {1, 0.99, 1},
+		{10, 0.50, 5}, {10, 0.95, 10}, {10, 0.99, 10},
+		{50, 0.50, 25}, {50, 0.95, 48}, {50, 0.99, 50},
+	} {
+		if p := percentile(lats[:c.n], c.q); p != c.want*1000 {
+			t.Errorf("n=%d q=%g: %gus, want %gus", c.n, c.q, p, c.want*1000)
+		}
+	}
 }
 
 // TestScheduleDeterministic pins the deterministic-schedule contract: the

@@ -47,10 +47,17 @@ func RunWorkers(cfg sim.Config, workers int) *Suite {
 // (with Result.WindowTo set to the checkpoint time). Deterministic for a
 // given store content and window, for any workers value.
 func Build(res *sim.Result, workers int) *Suite {
+	return BuildFromJobs(res, res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser), workers)
+}
+
+// BuildFromJobs is Build over a window query the caller already ran: jobs
+// must be res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser).
+// The suite keeps the slice as Suite.Jobs and never modifies it, so the
+// serving layer shares one list between the suite and /api/pandaids.
+func BuildFromJobs(res *sim.Result, jobs []*records.JobRecord, workers int) *Suite {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
 	m := core.NewMatcher(res.Store)
 	return &Suite{
 		Result:  res,

@@ -69,6 +69,19 @@ func BenchmarkServeMatchLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkServePandaIDs measures the id sample cmd/loadgen and the
+// benchmark's load generators request, /api/pandaids?limit=32, on a warmed
+// frozen server.
+func BenchmarkServePandaIDs(b *testing.B) {
+	s := getBenchServer(b)
+	benchGet(b, s, "/api/pandaids?limit=32")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGet(b, s, "/api/pandaids?limit=32")
+	}
+}
+
 // BenchmarkServeConcurrentMixed drives a mixed read workload from all
 // procs at once — the in-process analogue of the cmd/loadgen smoke,
 // reporting aggregate request throughput.

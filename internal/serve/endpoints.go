@@ -351,9 +351,11 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// handlePandaIDs returns the first `limit` pandaids of the window's user
-// jobs — the deterministic id sample cmd/loadgen seeds its match-lookup
-// schedule from.
+// handlePandaIDs returns the first `limit` pandaids (default 256, capped
+// at 10,000) of the window's user jobs — the deterministic id sample
+// cmd/loadgen seeds its match-lookup schedule from. It reads the state's
+// shared job list, so only an epoch's first call (or suite build) queries
+// the store.
 func (s *Server) handlePandaIDs(w http.ResponseWriter, r *http.Request) {
 	limit := 256
 	if v := r.URL.Query().Get("limit"); v != "" {
@@ -369,14 +371,10 @@ func (s *Server) handlePandaIDs(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.snapshot()
 	defer s.release()
-	res := st.res
-	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-	if len(jobs) > limit {
-		jobs = jobs[:limit]
-	}
-	ids := make([]int64, len(jobs))
-	for i, j := range jobs {
-		ids[i] = j.PandaID
+	jobs := st.windowJobs()
+	ids := make([]int64, min(limit, len(jobs)))
+	for i := range ids {
+		ids[i] = jobs[i].PandaID
 	}
 	writeJSON(w, struct {
 		PandaIDs []int64 `json:"pandaids"`

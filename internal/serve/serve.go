@@ -8,6 +8,7 @@ import (
 
 	"panrucio/internal/experiments"
 	"panrucio/internal/metastore"
+	"panrucio/internal/records"
 	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
 )
@@ -36,20 +37,37 @@ func (o *Options) fill() {
 }
 
 // state is one published snapshot of the world: the store (live or
-// frozen) plus everything analyses need, at one epoch. The suite — jobs
-// and the three matching passes — is built lazily on the first experiment
-// request of the epoch and shared by all of them.
+// frozen) plus everything analyses need, at one epoch. Two values derive
+// from it lazily and live exactly as long as it does, so no epoch ever
+// reads another's:
+//   - the window's user jobs, queried once on first use and shared by
+//     /api/pandaids and the suite build;
+//   - the suite (the three matching passes over those jobs), built on the
+//     first experiment request of the epoch and shared by all of them.
 type state struct {
 	res   *sim.Result
 	epoch uint64
 	final bool
 
+	jobsOnce sync.Once
+	jobs     []*records.JobRecord
+
 	suiteOnce sync.Once
 	suite     *experiments.Suite
 }
 
+// windowJobs returns the window's user jobs in pandaid order, querying
+// the store on the first call only. The slice is shared: read it, never
+// modify it.
+func (st *state) windowJobs() []*records.JobRecord {
+	st.jobsOnce.Do(func() {
+		st.jobs = st.res.Store.Jobs(st.res.WindowFrom, st.res.WindowTo, records.LabelUser)
+	})
+	return st.jobs
+}
+
 func (st *state) getSuite(workers int) *experiments.Suite {
-	st.suiteOnce.Do(func() { st.suite = experiments.Build(st.res, workers) })
+	st.suiteOnce.Do(func() { st.suite = experiments.BuildFromJobs(st.res, st.windowJobs(), workers) })
 	return st.suite
 }
 

@@ -37,7 +37,7 @@ func get(t *testing.T, s *Server, target string) []byte {
 // stubSweepExperiments replaces the E14/E15 renderers with cheap canned
 // reports for the duration of the test (the real ones run full sweep grids
 // plus, for E15, an extra online simulation).
-func stubSweepExperiments(t *testing.T) {
+func stubSweepExperiments(t testing.TB) {
 	t.Helper()
 	origRobust, origDetect, origOnline := experimentsRobustness, experimentsDetection, experimentsOnline
 	experimentsRobustness = func(cfg sim.Config, workers int) *sweep.Report {
