@@ -5,24 +5,21 @@
 //
 //	analyze [-seed N] [-days N] [-quick] [-csv] [-workers N] -exp <id>
 //
-// where <id> is one of: summary, fig2, fig3, table1, table2a, table2b,
-// fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, checks, all — plus
-// the extension studies: anomaly (automated anomaly scan), repair
-// (metadata-repair uplift), coopt (brokerage-policy comparison), e14
-// (the corruption-robustness sweep; cmd/sweep is the full front end), and
-// e15 (at-rest tamper detection through segment commitments, plus the
-// online detect-and-repair loop).
+// where <id> is an id of the experiment registry (experiments.Registry;
+// -h lists them), which also backs cmd/repro's report and cmd/serve's
+// /api/experiments/{id}, or one of: all (the full report plus the shape
+// checks), repair (metadata-repair uplift) and coopt (brokerage-policy
+// comparison). The registry's e14 and e15 run canned sweep grids of their
+// own (cmd/sweep is the full front end) and reject -days, -quick and -csv.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
-	"panrucio/internal/analysis"
-	"panrucio/internal/anomaly"
 	"panrucio/internal/coopt"
 	"panrucio/internal/core"
 	"panrucio/internal/experiments"
@@ -39,24 +36,12 @@ type options struct {
 	workers int
 }
 
-// experimentIDs enumerates the valid -exp values, so a typo fails at flag
-// parsing instead of after the simulation has run.
-var experimentIDs = map[string]bool{
-	"summary": true, "fig2": true, "fig3": true, "table1": true,
-	"table2a": true, "table2b": true, "fig5": true, "fig6": true,
-	"fig7": true, "fig8": true, "fig9": true, "fig10": true,
-	"fig11": true, "fig12": true, "anomaly": true, "repair": true,
-	"coopt": true, "e14": true, "e15": true, "checks": true, "all": true,
-}
+// studies are the -exp values outside the experiment registry.
+var studies = []string{"all", "repair", "coopt"}
 
 // validExperiments lists the -exp ids in usage/error order.
 func validExperiments() string {
-	ids := make([]string, 0, len(experimentIDs))
-	for id := range experimentIDs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return strings.Join(ids, ", ")
+	return strings.Join(append(experiments.IDs(), studies...), ", ")
 }
 
 // parseFlags parses the command line into options; kept separate from main
@@ -69,11 +54,12 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.quick, "quick", false, "use the reduced quick scenario")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables where applicable")
 	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+validExperiments())
-	fs.IntVar(&o.workers, "workers", 0, "matcher worker goroutines (0 = all cores, 1 = serial); for -exp e14, concurrent sweep scenarios")
+	fs.IntVar(&o.workers, "workers", 0, "matcher worker goroutines (0 = all cores, 1 = serial); for -exp e14 and e15, concurrent sweep scenarios")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if !experimentIDs[o.exp] {
+	e, ok := experiments.Lookup(o.exp)
+	if !ok && !slices.Contains(studies, o.exp) {
 		return nil, fmt.Errorf("unknown experiment %q (want one of: %s)", o.exp, validExperiments())
 	}
 	if o.days <= 0 {
@@ -82,7 +68,7 @@ func parseFlags(args []string) (*options, error) {
 	if o.workers < 0 {
 		return nil, fmt.Errorf("-workers must be non-negative, got %d", o.workers)
 	}
-	if o.exp == "e14" || o.exp == "e15" {
+	if ok && e.Suite == nil {
 		// E14/E15 run canned quick-scale sweep grids, not the single-suite
 		// pipeline: reject flags they would silently ignore.
 		var rejected []string
@@ -116,99 +102,43 @@ func main() {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(2)
 	}
-	if o.exp == "e14" {
-		// E14 is a multi-scenario experiment: it runs its own sweep grid
-		// (cmd/sweep is the richer front end), not the single-suite pipeline.
-		fmt.Print(experiments.RobustnessSweep(o.seed, o.workers).Markdown())
-		return
+	fmt.Print(run(o))
+}
+
+// run renders the selected experiment as the command prints it: a
+// registry entry's artifact, or one of the studies outside the registry.
+func run(o *options) string {
+	if o.exp == "coopt" {
+		cc := coopt.ContentionConfig(o.seed, 2, 0.01)
+		return experiments.Artifact{Table: coopt.Table(coopt.Compare(cc, coopt.DefaultPolicies()))}.Render(o.csv)
 	}
-	if o.exp == "e15" {
-		// E15 pairs the per-channel detection sweep with one online
-		// detect-and-repair run.
-		fmt.Print(experiments.DetectionSweep(o.seed, o.workers).Markdown())
-		fmt.Println(experiments.OnlineVerify(o.seed).Table().Render())
-		return
+	e, _ := experiments.Lookup(o.exp)
+	if e.Scenarios != nil {
+		return e.Scenarios(o.seed, o.workers).Render(o.csv)
 	}
 	s := experiments.RunWorkers(o.config(), o.workers)
-
-	emit := func(t *report.Table) {
-		if o.csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.Render())
-		}
-	}
-	emitCase := func(cs *analysis.CaseStudy, withSummary bool) {
-		if cs == nil {
-			fmt.Println("(case study not present for this seed; try another)")
-			return
-		}
-		emit(cs.TimelineTable())
-		if withSummary {
-			emit(cs.TransferSummaryTable())
-		}
-	}
-
 	switch o.exp {
-	case "summary":
-		emit(s.SummaryTable())
-	case "fig2":
-		emit(analysis.GrowthReport(s.Fig2()))
-	case "fig3":
-		emit(s.Fig3().Report(8))
-	case "table1":
-		emit(analysis.ActivityTable(s.Table1()))
-	case "table2a":
-		emit(s.Cmp.TransferCountTable())
-	case "table2b":
-		emit(s.Cmp.JobCountTable())
-	case "fig5":
-		emit(analysis.TopJobsTable("Fig. 5 — top local-transfer jobs", s.Fig5()))
-	case "fig6":
-		emit(analysis.TopJobsTable("Fig. 6 — top remote-transfer jobs", s.Fig6()))
-	case "fig7":
-		fmt.Println(report.RenderSeries("Fig. 7 — remote connection bandwidth", 72, s.Fig7()))
-	case "fig8":
-		fmt.Println(report.RenderSeries("Fig. 8 — local site bandwidth", 72, s.Fig8()))
-	case "fig9":
-		emit(s.Fig9().Table())
-	case "fig10":
-		emitCase(s.Fig10(), false)
-	case "fig11":
-		emitCase(s.Fig11(), false)
-	case "fig12":
-		emitCase(s.Fig12(), true)
-	case "anomaly":
-		rep := anomaly.NewScanner(s.Result.Grid).Scan(s.Cmp.RM2)
-		emit(rep.Table(10))
-	case "repair":
-		up, st := core.MeasureUplift(s.Result.Store, s.Result.Grid, s.Jobs, core.Exact)
-		t := &report.Table{
-			Title:   "Metadata repair uplift (RM2 inference -> exact re-match)",
-			Columns: []string{"metric", "value"},
-		}
-		t.AddRow("labels repaired", fmt.Sprintf("%d (%d duplicate-evidence, %d site-condition)",
-			st.LabelsRepaired, st.ByDuplicate, st.BySiteCondition))
-		t.AddRow("exact matched jobs", fmt.Sprintf("%d -> %d (+%d)",
-			up.Before.MatchedJobs, up.After.MatchedJobs, up.JobGain))
-		t.AddRow("exact matched transfers", fmt.Sprintf("%d -> %d (+%d)",
-			up.Before.MatchedTransfers, up.After.MatchedTransfers, up.TransferGain))
-		emit(t)
-	case "coopt":
-		cc := coopt.ContentionConfig(o.seed, 2, 0.01)
-		emit(coopt.Table(coopt.Compare(cc, coopt.DefaultPolicies())))
-	case "checks":
-		for _, line := range s.ShapeChecks() {
-			fmt.Println(line)
-		}
 	case "all":
-		fmt.Print(s.RenderAll())
-		for _, line := range s.ShapeChecks() {
-			fmt.Println(line)
-		}
-	default:
-		// Unreachable: parseFlags validated o.exp against experimentIDs.
-		fmt.Fprintf(os.Stderr, "analyze: unhandled experiment %q\n", o.exp)
-		os.Exit(2)
+		checks, _ := experiments.Lookup("checks")
+		return s.RenderAll() + checks.Suite(s).Render(false)
+	case "repair":
+		return repair(s).Render(o.csv)
 	}
+	return e.Suite(s).Render(o.csv)
+}
+
+// repair measures the exact-match uplift of the metadata-repair pass.
+func repair(s *experiments.Suite) experiments.Artifact {
+	up, st := core.MeasureUplift(s.Result.Store, s.Result.Grid, s.Jobs, core.Exact)
+	t := &report.Table{
+		Title:   "Metadata repair uplift (RM2 inference -> exact re-match)",
+		Columns: []string{"metric", "value"},
+	}
+	t.AddRow("labels repaired", fmt.Sprintf("%d (%d duplicate-evidence, %d site-condition)",
+		st.LabelsRepaired, st.ByDuplicate, st.BySiteCondition))
+	t.AddRow("exact matched jobs", fmt.Sprintf("%d -> %d (+%d)",
+		up.Before.MatchedJobs, up.After.MatchedJobs, up.JobGain))
+	t.AddRow("exact matched transfers", fmt.Sprintf("%d -> %d (+%d)",
+		up.Before.MatchedTransfers, up.After.MatchedTransfers, up.TransferGain))
+	return experiments.Artifact{Table: t}
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	sweep [-grid robustness|seeds|mix] [-seed N] [-scenarios N]
+//	sweep [-grid robustness|seeds|mix|verify] [-seed N] [-scenarios N]
 //	      [-workers N] [-match-workers N] [-shards N] [-segment-rows N]
 //	      [-format markdown|json] [-trace FILE] [-trace-every HOURS]
 //
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"panrucio/internal/obs"
-	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
 	"panrucio/internal/sweep"
 )
@@ -64,10 +63,8 @@ func parseFlags(args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	switch o.grid {
-	case "robustness", "seeds", "mix", "verify":
-	default:
-		return nil, fmt.Errorf("unknown grid %q (want robustness, seeds, mix, or verify)", o.grid)
+	if _, err := sweep.Canned(o.grid, o.seed); err != nil {
+		return nil, err
 	}
 	switch o.format {
 	case "markdown", "json":
@@ -98,18 +95,7 @@ func parseFlags(args []string) (*options, error) {
 // buildGrid materializes the selected canned grid, truncated to the first
 // -scenarios entries.
 func buildGrid(o *options) []sweep.Scenario {
-	base := sim.QuickConfig(o.seed)
-	var scenarios []sweep.Scenario
-	switch o.grid {
-	case "robustness":
-		scenarios = sweep.CorruptionRamp(base, sweep.DefaultRampRates())
-	case "seeds":
-		scenarios = sweep.SeedFanOut(base, 8)
-	case "mix":
-		scenarios = sweep.MixGrid(base)
-	case "verify":
-		scenarios = sweep.VerifyGrid(base, sweep.DefaultVerifyProb)
-	}
+	scenarios, _ := sweep.Canned(o.grid, o.seed) // parseFlags checked the name
 	if o.scenarios > 0 && o.scenarios < len(scenarios) {
 		scenarios = scenarios[:o.scenarios]
 	}

@@ -160,9 +160,8 @@ func (s *Suite) Fig12() *analysis.CaseStudy {
 // a single point. workers bounds the concurrent scenarios (<= 0 selects
 // GOMAXPROCS); the report is identical for any value.
 func RobustnessSweep(seed int64, workers int) *sweep.Report {
-	return sweep.Run(
-		sweep.CorruptionRamp(sim.QuickConfig(seed), sweep.DefaultRampRates()),
-		sweep.Options{Workers: workers})
+	grid, _ := sweep.Canned("robustness", seed)
+	return sweep.Run(grid, sweep.Options{Workers: workers})
 }
 
 // DetectionSweep regenerates experiment E15: the canned verify grid — one
@@ -175,9 +174,8 @@ func RobustnessSweep(seed int64, workers int) *sweep.Report {
 // workers bounds the concurrent scenarios (<= 0 selects GOMAXPROCS); the
 // report is identical for any value.
 func DetectionSweep(seed int64, workers int) *sweep.Report {
-	return sweep.Run(
-		sweep.VerifyGrid(sim.QuickConfig(seed), sweep.DefaultVerifyProb),
-		sweep.Options{Workers: workers})
+	grid, _ := sweep.Canned("verify", seed)
+	return sweep.Run(grid, sweep.Options{Workers: workers})
 }
 
 // OnlineVerify runs the E15 online half: the detect-and-repair loop over
@@ -221,45 +219,32 @@ func (s *Suite) SummaryTable() *report.Table {
 	return t
 }
 
-// RenderAll produces the complete textual report: every table and figure
-// with its paper counterpart noted.
+// RenderAll produces the complete textual report: the text of every
+// registry entry marked Report, in registry order, each artifact with its
+// paper counterpart in its title.
 func (s *Suite) RenderAll() string {
 	var b strings.Builder
-	w := func(x string) { b.WriteString(x); b.WriteString("\n") }
-
-	w(s.SummaryTable().Render())
-	w(analysis.GrowthReport(s.Fig2()).Render())
-	w(s.Fig3().Report(6).Render())
-	w(analysis.ActivityTable(s.Table1()).Render())
-	w(s.Cmp.TransferCountTable().Render())
-	w(s.Cmp.JobCountTable().Render())
-	w(analysis.TopJobsTable("Fig. 5 — top local-transfer jobs (>=10% of queuing time)", s.Fig5()).Render())
-	w(analysis.TopJobsTable("Fig. 6 — top remote-transfer jobs (>=10% of queuing time)", s.Fig6()).Render())
-	w(report.RenderSeries("Fig. 7 — bandwidth at remote connections (matched transfers)", 64, s.Fig7()))
-	w(report.RenderSeries("Fig. 8 — bandwidth at local sites (matched transfers)", 64, s.Fig8()))
-	w(s.Fig9().Table().Render())
-	for _, cs := range []*analysis.CaseStudy{s.Fig10(), s.Fig11(), s.Fig12()} {
-		if cs == nil {
-			w("(case study not present for this seed)")
-			continue
-		}
-		w(cs.TimelineTable().Render())
-		if cs.Kind == "rm2-redundant" {
-			w(cs.TransferSummaryTable().Render())
+	for _, e := range Registry {
+		if e.Report {
+			b.WriteString(e.Suite(s).Render(false))
 		}
 	}
-	w(s.Anomalies().Table(5).Render())
 	return b.String()
 }
 
-// ShapeChecks verifies the paper's qualitative claims on this run and
-// returns human-readable pass/fail lines (used by cmd/repro and the
-// benchmark harness). All should pass for the default seeds. The check
-// logic lives in analysis.ShapeChecks so the sweep engine can evaluate the
-// same claims per scenario without importing this package.
-func (s *Suite) ShapeChecks() []string {
-	checks := analysis.ShapeChecks(s.Result.Store, s.Result.Grid,
+// Checks verifies the paper's qualitative claims on this run: the checks
+// entry's artifact. All should pass for the default seeds. The check logic
+// lives in analysis.ShapeChecks so the sweep engine can evaluate the same
+// claims per scenario without importing this package.
+func (s *Suite) Checks() []analysis.Check {
+	return analysis.ShapeChecks(s.Result.Store, s.Result.Grid,
 		s.Result.WindowFrom, s.Result.WindowTo, s.Cmp)
+}
+
+// ShapeChecks returns Checks as human-readable pass/fail lines (used by
+// cmd/repro and the benchmark harness).
+func (s *Suite) ShapeChecks() []string {
+	checks := s.Checks()
 	out := make([]string, len(checks))
 	for i, c := range checks {
 		out[i] = c.String()

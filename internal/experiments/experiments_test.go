@@ -115,3 +115,25 @@ func TestRobustnessSweepE14(t *testing.T) {
 		t.Error("E14 markdown lost the ramp labels")
 	}
 }
+
+// TestRegistryReportEntries pins what RenderAll concatenates: exactly the
+// suite entries whose artifact has a table, series or note form, never
+// the data-only rates and checks, and never an entry without a suite.
+func TestRegistryReportEntries(t *testing.T) {
+	s := Run(sim.QuickConfig(21))
+	for _, e := range Registry {
+		if (e.Suite == nil) == (e.Scenarios == nil) {
+			t.Errorf("%s: want exactly one of Suite and Scenarios", e.ID)
+		}
+		if e.Suite == nil {
+			if e.Report {
+				t.Errorf("%s: marked Report but takes no suite", e.ID)
+			}
+			continue
+		}
+		a := e.Suite(s)
+		if text := a.Table != nil || a.SeriesTitle != "" || a.Note != ""; e.Report != text {
+			t.Errorf("%s: Report = %v, but has a table, series or note form: %v", e.ID, e.Report, text)
+		}
+	}
+}

@@ -6,10 +6,10 @@ import (
 )
 
 // cacheKey addresses one cached response body. epoch 0 is reserved for
-// store-independent results (sweep launches, E14), which stay valid as
-// the live store's epoch advances; every store-derived body carries the
-// epoch it was computed at and is stranded — then pruned — the moment a
-// checkpoint publishes a newer epoch.
+// store-independent results (sweep launches, E14, E15), which stay valid
+// as the live store's epoch advances; every store-derived body carries
+// the epoch it was computed at and is stranded — then pruned — the moment
+// a checkpoint publishes a newer epoch.
 type cacheKey struct {
 	digest string
 	epoch  uint64

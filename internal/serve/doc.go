@@ -1,9 +1,10 @@
 // Package serve is the query-serving front end over the metastore: an
 // HTTP/JSON handler layer exposing the paper's experiment analyses
-// (E1–E14), match lookups by pandaid and jeditaskid, store and segment
-// statistics, and sweep launches — the ROADMAP's "millions of users"
-// direction made concrete and measurable (cmd/loadgen drives it at high
-// concurrency and reports latency/QPS metrics).
+// (E1–E15, the entries of experiments.Registry), match lookups by pandaid
+// and jeditaskid, store and segment statistics, and sweep launches — the
+// ROADMAP's "millions of users" direction made concrete and measurable
+// (cmd/loadgen drives it at high concurrency and reports latency/QPS
+// metrics).
 //
 // A Server wraps either a frozen store (NewFrozen: a completed sim.Result)
 // or a live one (NewLive: the scenario runs in the background and
@@ -23,8 +24,9 @@
 //     digest, experiment id, store epoch), so a repeated query is one map
 //     hit — and a cached body can never leak across epochs: sealing new
 //     segments advances the epoch, which strands the old entries (pruned
-//     on publish). Store-independent bodies (sweep launches, E14) cache
-//     under epoch 0 and survive epoch advances. Concurrent misses for the
+//     on publish). Store-independent bodies (sweep launches, E14, E15)
+//     cache under epoch 0 and survive epoch advances; they read no store,
+//     so they render outside any read window. Concurrent misses for the
 //     same key collapse into one computation (the rest wait).
 //
 //   - Deterministic bodies. Every response body except /api/meta/layout

@@ -6,51 +6,30 @@ import (
 	"net/http"
 	"strconv"
 
-	"panrucio/internal/analysis"
 	"panrucio/internal/core"
+	"panrucio/internal/experiments"
 	"panrucio/internal/metastore"
 	"panrucio/internal/obs"
 	"panrucio/internal/records"
-	"panrucio/internal/report"
-	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
 	"panrucio/internal/sweep"
-	"panrucio/internal/verify"
 )
 
-// Body is the uniform JSON envelope of the analysis endpoints: exactly
-// one payload field is set per experiment. Marshaling a fixed struct (no
-// maps) keeps bodies byte-identical run to run.
+// Body is the uniform JSON envelope of the analysis endpoints: the
+// experiment's registry artifact under its id, the config digest and the
+// epoch it was computed at. Marshaling a fixed struct (no maps) keeps
+// bodies byte-identical run to run.
 type Body struct {
-	Experiment string                 `json:"experiment"`
-	Digest     string                 `json:"digest"`
-	Epoch      uint64                 `json:"epoch"`
-	Rates      []analysis.MethodRates `json:"rates,omitempty"`
-	Table      *report.Table          `json:"table,omitempty"`
-	Tables     []*report.Table        `json:"tables,omitempty"`
-	Series     []*report.Series       `json:"series,omitempty"`
-	Checks     []analysis.Check       `json:"checks,omitempty"`
-	Sweep      *sweep.Report          `json:"sweep,omitempty"`
-	Note       string                 `json:"note,omitempty"`
+	Experiment string `json:"experiment"`
+	Digest     string `json:"digest"`
+	Epoch      uint64 `json:"epoch"`
+	experiments.Artifact
 }
 
-// Experiments lists the valid /api/experiments/{id} ids, in E-number
-// order. E14 runs the canned robustness sweep and E15 the canned
-// detection sweep (both store-independent, cached under epoch 0);
-// everything else derives from the serving store.
-var Experiments = []string{
-	"summary", "rates", "fig2", "fig3", "table1", "table2a", "table2b",
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-	"checks", "anomaly", "e14", "e15",
-}
-
-var experimentSet = func() map[string]bool {
-	m := make(map[string]bool, len(Experiments))
-	for _, id := range Experiments {
-		m[id] = true
-	}
-	return m
-}()
+// Experiments lists the valid /api/experiments/{id} ids: the experiment
+// registry's, in its order. E14 and E15 run scenarios of their own and
+// cache under epoch 0; every other body derives from the serving store.
+var Experiments = experiments.IDs()
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
@@ -149,93 +128,38 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment serves one cached analysis body. The first request of
 // an epoch pays the matching passes; every later one — and every
-// concurrent duplicate — is a cache hit.
+// concurrent duplicate — is a cache hit. An entry that runs its own
+// scenarios (E14, E15) reads no store: it takes no read window, so a cold
+// sweep never holds back ingest, and it caches under epoch 0, which
+// survives epoch advances.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !experimentSet[id] {
+	e, ok := experiments.Lookup(id)
+	if !ok {
 		http.Error(w, fmt.Sprintf("unknown experiment %q", id), http.StatusNotFound)
 		return
 	}
-	st := s.snapshot()
-	defer s.release()
-	key := cacheKey{digest: s.digest, epoch: st.epoch, id: id}
-	if id == "e14" || id == "e15" {
-		key.epoch = 0 // store-independent: survives epoch advances
+	var st *state
+	key := cacheKey{digest: s.digest, id: id}
+	if e.Suite != nil {
+		st = s.snapshot()
+		defer s.release()
+		key.epoch = st.epoch
 	}
 	body, err, _ := s.cache.get(key, func() ([]byte, error) {
-		return s.renderExperiment(st, id, key.epoch)
+		b := &Body{Experiment: id, Digest: s.digest, Epoch: key.epoch}
+		if st != nil {
+			b.Artifact = e.Suite(st.getSuite(s.opt.MatchWorkers))
+		} else {
+			b.Artifact = e.Scenarios(s.cfg.Seed, s.opt.MatchWorkers)
+		}
+		return json.Marshal(b)
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	writeBody(w, body)
-}
-
-// renderExperiment computes one experiment's body at one epoch.
-func (s *Server) renderExperiment(st *state, id string, epoch uint64) ([]byte, error) {
-	b := &Body{Experiment: id, Digest: s.digest, Epoch: epoch}
-	if id == "e14" {
-		rep := experimentsRobustness(st.res.Config, s.opt.MatchWorkers)
-		b.Sweep = rep
-		return json.Marshal(b)
-	}
-	if id == "e15" {
-		b.Sweep = experimentsDetection(st.res.Config, s.opt.MatchWorkers)
-		b.Table = experimentsOnline(st.res.Config)
-		return json.Marshal(b)
-	}
-	suite := st.getSuite(s.opt.MatchWorkers)
-	caseBody := func(cs *analysis.CaseStudy, withSummary bool) {
-		if cs == nil {
-			b.Note = "case study not present for this seed"
-			return
-		}
-		b.Table = cs.TimelineTable()
-		if withSummary {
-			b.Tables = []*report.Table{cs.TransferSummaryTable()}
-		}
-	}
-	switch id {
-	case "summary":
-		b.Table = suite.SummaryTable()
-	case "rates":
-		b.Rates = suite.Cmp.Summary()
-	case "fig2":
-		b.Table = analysis.GrowthReport(suite.Fig2())
-	case "fig3":
-		b.Table = suite.Fig3().Report(6)
-	case "table1":
-		b.Table = analysis.ActivityTable(suite.Table1())
-	case "table2a":
-		b.Table = suite.Cmp.TransferCountTable()
-	case "table2b":
-		b.Table = suite.Cmp.JobCountTable()
-	case "fig5":
-		b.Table = analysis.TopJobsTable("Fig. 5 — top local-transfer jobs", suite.Fig5())
-	case "fig6":
-		b.Table = analysis.TopJobsTable("Fig. 6 — top remote-transfer jobs", suite.Fig6())
-	case "fig7":
-		b.Series = suite.Fig7()
-	case "fig8":
-		b.Series = suite.Fig8()
-	case "fig9":
-		b.Table = suite.Fig9().Table()
-	case "fig10":
-		caseBody(suite.Fig10(), false)
-	case "fig11":
-		caseBody(suite.Fig11(), false)
-	case "fig12":
-		caseBody(suite.Fig12(), true)
-	case "checks":
-		res := suite.Result
-		b.Checks = analysis.ShapeChecks(res.Store, res.Grid, res.WindowFrom, res.WindowTo, suite.Cmp)
-	case "anomaly":
-		b.Table = suite.Anomalies().Table(5)
-	default:
-		return nil, fmt.Errorf("unhandled experiment %q", id)
-	}
-	return json.Marshal(b)
 }
 
 // jobView is the match-lookup payload: the job row plus its matched
@@ -418,19 +342,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		workers = n
 	}
-	base := sim.QuickConfig(seed)
-	var grid []sweep.Scenario
-	switch gridName {
-	case "robustness":
-		grid = sweep.CorruptionRamp(base, sweep.DefaultRampRates())
-	case "seeds":
-		grid = sweep.SeedFanOut(base, 8)
-	case "mix":
-		grid = sweep.MixGrid(base)
-	case "verify":
-		grid = sweep.VerifyGrid(base, sweep.DefaultVerifyProb)
-	default:
-		http.Error(w, fmt.Sprintf("unknown grid %q (want robustness, seeds, mix, or verify)", gridName), http.StatusBadRequest)
+	grid, err := sweep.Canned(gridName, seed)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if scenarios == 0 || scenarios > s.opt.SweepScenarioCap {
@@ -458,31 +372,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeBody(w, body)
-}
-
-// experimentsRobustness is the E14 renderer: the canned corruption-ramp
-// sweep at the serving config's seed. Kept behind a function var so the
-// golden-body tests can scale it down.
-var experimentsRobustness = func(cfg sim.Config, workers int) *sweep.Report {
-	return sweep.Run(
-		sweep.CorruptionRamp(sim.QuickConfig(cfg.Seed), sweep.DefaultRampRates()),
-		sweep.Options{Workers: workers})
-}
-
-// experimentsDetection and experimentsOnline are the two halves of the E15
-// renderer — the per-channel tamper-detection sweep and the online
-// detect-and-repair loop — at the serving config's seed. Function vars for
-// the same reason as experimentsRobustness.
-var experimentsDetection = func(cfg sim.Config, workers int) *sweep.Report {
-	return sweep.Run(
-		sweep.VerifyGrid(sim.QuickConfig(cfg.Seed), sweep.DefaultVerifyProb),
-		sweep.Options{Workers: workers})
-}
-
-var experimentsOnline = func(cfg sim.Config) *report.Table {
-	return verify.RunOnline(sim.QuickConfig(cfg.Seed), verify.OnlineOptions{
-		Tamper: &verify.TamperConfig{Prob: sweep.DefaultVerifyProb, Seed: cfg.Seed},
-	}).Table()
 }
 
 // violationView flattens a metastore.Violation for the /api/verify body.

@@ -72,14 +72,16 @@ func (st *state) getSuite(workers int) *experiments.Suite {
 }
 
 // Server is the HTTP/JSON front end over one scenario's store. Handlers
-// acquire the read half of mu for their whole request; the live
-// scenario's goroutine holds the write half while ingesting and releases
-// it at every observer checkpoint, so reads run in windows where the
-// store is quiescent — concurrently with each other, never with ingest.
-// For a frozen server the write half is never taken and reads are
-// unrestricted.
+// that read the store acquire the read half of mu for their whole
+// request; the live scenario's goroutine holds the write half while
+// ingesting and releases it at every observer checkpoint, so reads run in
+// windows where the store is quiescent — concurrently with each other,
+// never with ingest. Handlers that read no store (/healthz, /metrics, the
+// experiment list, E14/E15, /api/sweep) take no lock. For a frozen server
+// the write half is never taken and reads are unrestricted.
 type Server struct {
 	opt    Options
+	cfg    sim.Config // the served scenario; E14 and E15 run at its seed
 	digest string
 	cache  *resultCache
 	mux    *http.ServeMux
@@ -95,7 +97,7 @@ type Server struct {
 // fixed at 1, and every read is lock-free in practice (the write lock has
 // no writer). This is cmd/serve's default mode.
 func NewFrozen(res *sim.Result, opt Options) *Server {
-	s := newServer(res.Config.Digest(), opt)
+	s := newServer(res.Config, opt)
 	s.st = &state{res: res, epoch: 1, final: true}
 	s.epoch.Store(1)
 	close(s.done)
@@ -110,7 +112,7 @@ func NewFrozen(res *sim.Result, opt Options) *Server {
 // Requests arriving before the first checkpoint block until it opens.
 // The returned server is usable immediately; Done reports run completion.
 func NewLive(cfg sim.Config, every simtime.VTime, opt Options) *Server {
-	s := newServer(cfg.Digest(), opt)
+	s := newServer(cfg, opt)
 	grid := sim.GridFor(cfg)
 	warmup := simtime.VTime(cfg.WarmupDays) * simtime.Day
 	s.mu.Lock() // hold the write half until the first checkpoint
@@ -130,11 +132,12 @@ func NewLive(cfg sim.Config, every simtime.VTime, opt Options) *Server {
 	return s
 }
 
-func newServer(digest string, opt Options) *Server {
+func newServer(cfg sim.Config, opt Options) *Server {
 	opt.fill()
 	s := &Server{
 		opt:    opt,
-		digest: digest,
+		cfg:    cfg,
+		digest: cfg.Digest(),
 		cache:  newResultCache(opt.CacheEntries),
 		done:   make(chan struct{}),
 	}

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"panrucio/internal/experiments"
 	"panrucio/internal/report"
 	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
@@ -34,23 +36,32 @@ func get(t *testing.T, s *Server, target string) []byte {
 	return body
 }
 
-// stubSweepExperiments replaces the E14/E15 renderers with cheap canned
-// reports for the duration of the test (the real ones run full sweep grids
-// plus, for E15, an extra online simulation).
+// stubScenarioExperiments replaces the artifact builder of every registry
+// entry that runs its own scenarios (E14, E15) with build for the duration
+// of the test: the one seam through which serve tests stub them.
+func stubScenarioExperiments(t testing.TB, build func(seed int64, workers int) experiments.Artifact) {
+	t.Helper()
+	orig := experiments.Registry
+	stubbed := slices.Clone(orig)
+	for i := range stubbed {
+		if stubbed[i].Scenarios != nil {
+			stubbed[i].Scenarios = build
+		}
+	}
+	experiments.Registry = stubbed
+	t.Cleanup(func() { experiments.Registry = orig })
+}
+
+// stubSweepExperiments stubs E14/E15 with a cheap canned artifact (the
+// real ones run full sweep grids plus, for E15, an extra online
+// simulation).
 func stubSweepExperiments(t testing.TB) {
 	t.Helper()
-	origRobust, origDetect, origOnline := experimentsRobustness, experimentsDetection, experimentsOnline
-	experimentsRobustness = func(cfg sim.Config, workers int) *sweep.Report {
-		return &sweep.Report{}
-	}
-	experimentsDetection = func(cfg sim.Config, workers int) *sweep.Report {
-		return &sweep.Report{}
-	}
-	experimentsOnline = func(cfg sim.Config) *report.Table {
-		return &report.Table{Title: "E15 — online detect-and-repair loop (stub)"}
-	}
-	t.Cleanup(func() {
-		experimentsRobustness, experimentsDetection, experimentsOnline = origRobust, origDetect, origOnline
+	stubScenarioExperiments(t, func(seed int64, workers int) experiments.Artifact {
+		return experiments.Artifact{
+			Sweep: &sweep.Report{},
+			Table: &report.Table{Title: "E15 — online detect-and-repair loop (stub)"},
+		}
 	})
 }
 
@@ -269,6 +280,43 @@ func TestLiveServeUnderIngest(t *testing.T) {
 	}
 	if !live.Final || live != want {
 		t.Fatalf("final live meta %+v != frozen meta %+v", live, want)
+	}
+}
+
+// TestScenarioExperimentsRenderOutsideReadWindow pins that E14/E15, which
+// read no store, render outside the epoch read lock: while a cold e14
+// request is in flight on a live server, ingest keeps publishing epochs.
+// Under the lock the ingest writer's Lock would wait for the whole sweep.
+func TestScenarioExperimentsRenderOutsideReadWindow(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	stubScenarioExperiments(t, func(seed int64, workers int) experiments.Artifact {
+		close(entered)
+		<-release
+		return experiments.Artifact{Note: "stub"}
+	})
+	s := NewLive(sim.QuickConfig(11), 6*simtime.Hour, Options{})
+	done := make(chan int)
+	go func() {
+		code, _ := do(t, s, http.MethodGet, "/api/experiments/e14")
+		done <- code
+	}()
+	select {
+	case <-entered:
+	case code := <-done:
+		t.Fatalf("GET /api/experiments/e14 = %d without building E14", code)
+	}
+	from := s.Epoch()
+	for deadline := time.Now().Add(10 * time.Second); s.Epoch() < from+2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	advanced := s.Epoch() - from
+	close(release)
+	if code := <-done; code != http.StatusOK {
+		t.Errorf("GET /api/experiments/e14 = %d", code)
+	}
+	<-s.Done()
+	if advanced < 2 {
+		t.Fatalf("epoch advanced by %d while a cold e14 request was in flight, want >= 2", advanced)
 	}
 }
 

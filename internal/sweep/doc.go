@@ -6,7 +6,8 @@
 //
 // A grid is a cross product of Axis values over a base sim.Config,
 // built with Expand or one of the canned constructors (CorruptionRamp —
-// experiment E14 —, SeedFanOut, MixGrid). Run executes the scenarios over
+// experiment E14 —, SeedFanOut, MixGrid, VerifyGrid — experiment E15),
+// which Canned looks up by name. Run executes the scenarios over
 // a bounded worker pool; each worker goroutine owns one metastore that
 // sim.RunReusing resets between scenarios, so index-map capacity is
 // reused instead of reallocated. Per scenario the engine runs the three
@@ -18,6 +19,6 @@
 // count or completion order, outcomes hold value data only (never store
 // pointers), and renderings iterate slices, never maps — so Markdown and
 // JSON output are byte-identical for -workers 1 and -workers N. cmd/sweep
-// is the command-line front end; experiments.RobustnessSweep wires the
-// canned ramp in as E14.
+// is the command-line front end; experiments.RobustnessSweep and
+// DetectionSweep wire the canned ramp and verify grid in as E14 and E15.
 package sweep

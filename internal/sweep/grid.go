@@ -284,3 +284,23 @@ func VerifyGrid(base sim.Config, p float64) []Scenario {
 	}
 	return scenarios
 }
+
+// Canned builds the named canned grid over sim.QuickConfig(seed):
+// "robustness" is the E14 corruption ramp, "seeds" an 8-way seed fan-out,
+// "mix" the workload mix crossed with background intensity, and "verify"
+// the E15 integrity grid. cmd/sweep, POST /api/sweep and experiments E14
+// and E15 all build their grids here.
+func Canned(name string, seed int64) ([]Scenario, error) {
+	base := sim.QuickConfig(seed)
+	switch name {
+	case "robustness":
+		return CorruptionRamp(base, DefaultRampRates()), nil
+	case "seeds":
+		return SeedFanOut(base, 8), nil
+	case "mix":
+		return MixGrid(base), nil
+	case "verify":
+		return VerifyGrid(base, DefaultVerifyProb), nil
+	}
+	return nil, fmt.Errorf("unknown grid %q (want robustness, seeds, mix, or verify)", name)
+}
