@@ -5,6 +5,10 @@
 //
 //	analyze [-seed N] [-days N] [-quick] [-csv] [-workers N] -exp <id>
 //
+// -quick selects the reduced quick scenario, the one cmd/serve -quick
+// serves, with its 2-day window; -days sets the window length of either
+// scenario (8 for the paper scenario when not given).
+//
 // where <id> is an id of the experiment registry (experiments.Registry;
 // -h lists them), which also backs cmd/repro's report and cmd/serve's
 // /api/experiments/{id}, or one of: all (the full report plus the shape
@@ -50,7 +54,7 @@ func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	fs.IntVar(&o.days, "days", 8, "study-window length in days")
+	fs.IntVar(&o.days, "days", 8, "study-window length in days (with -quick, default the quick scenario's 2)")
 	fs.BoolVar(&o.quick, "quick", false, "use the reduced quick scenario")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables where applicable")
 	fs.StringVar(&o.exp, "exp", "all", "experiment id: "+validExperiments())
@@ -67,6 +71,12 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.workers < 0 {
 		return nil, fmt.Errorf("-workers must be non-negative, got %d", o.workers)
+	}
+	daysGiven := false
+	fs.Visit(func(f *flag.Flag) { daysGiven = daysGiven || f.Name == "days" })
+	if o.quick && !daysGiven {
+		// -quick keeps the quick scenario's own window unless -days is given.
+		o.days = sim.QuickConfig(o.seed).Days
 	}
 	if ok && e.Suite == nil {
 		// E14/E15 run canned quick-scale sweep grids, not the single-suite

@@ -96,6 +96,31 @@ func TestQuickFlagSelectsQuickScenario(t *testing.T) {
 	}
 }
 
+// TestQuickKeepsItsWindowUnlessDaysGiven pins -days' scope: -quick alone
+// runs the quick scenario's own window, the one cmd/serve -quick serves;
+// an explicit -days overrides it; the paper scenario defaults to 8 days.
+func TestQuickKeepsItsWindowUnlessDaysGiven(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		days int
+	}{
+		{[]string{"-quick", "-seed", "4"}, sim.QuickConfig(4).Days},
+		{[]string{"-quick"}, sim.QuickConfig(1).Days},
+		{[]string{"-quick", "-days", "5"}, 5},
+		{[]string{"-days", "5", "-quick"}, 5},
+		{nil, 8},
+		{[]string{"-days", "3"}, 3},
+	} {
+		o, err := parseFlags(c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := o.config().Days; got != c.days {
+			t.Errorf("args %v: Days %d, want %d", c.args, got, c.days)
+		}
+	}
+}
+
 // TestTextMatchesServedArtifact renders every registry id through this
 // command and through GET /api/experiments/{id} of a frozen server over
 // the same quick scenario, and requires the command's text to equal the
@@ -117,12 +142,9 @@ func TestTextMatchesServedArtifact(t *testing.T) {
 		}
 	}
 
-	quick := []string{"-quick", "-days", "2", "-seed", "21", "-workers", "2"}
-	o, err := parseFlags(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sim.Run(o.config())
+	// The served run is cmd/serve -quick's scenario.
+	quick := []string{"-quick", "-seed", "21", "-workers", "2"}
+	res := sim.Run(sim.QuickConfig(21))
 	srv := serve.NewFrozen(res, serve.Options{})
 	suite := experiments.Build(res, 2)
 	for _, e := range experiments.Registry {

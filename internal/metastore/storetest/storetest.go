@@ -158,6 +158,13 @@ func (st *Stream) IngestPrefix(s *metastore.Store, k int) { st.IngestRange(s, 0,
 // store fed [0, a) then [a, b) holds exactly the prefix [0, b), which is
 // how the cut-point tests advance one live store through successive cuts.
 func (st *Stream) IngestRange(s *metastore.Store, from, to int) {
+	st.Replay(from, to, s.PutJob, s.PutFile, s.PutTransfer)
+}
+
+// Replay hands puts [from, to) of the stream to the three sinks in stream
+// order: IngestRange with a store's Put methods, or any other consumer of
+// a put stream, such as the simulator's ingest pipe.
+func (st *Stream) Replay(from, to int, job func(*records.JobRecord), file func(*records.FileRecord), transfer func(*records.TransferEvent)) {
 	var j, f, e int
 	for _, kind := range st.puts[:from] {
 		switch kind {
@@ -172,13 +179,13 @@ func (st *Stream) IngestRange(s *metastore.Store, from, to int) {
 	for _, kind := range st.puts[from:to] {
 		switch kind {
 		case 0:
-			s.PutJob(&st.jobs[j])
+			job(&st.jobs[j])
 			j++
 		case 1:
-			s.PutFile(&st.files[f])
+			file(&st.files[f])
 			f++
 		default:
-			s.PutTransfer(&st.evs[e])
+			transfer(&st.evs[e])
 			e++
 		}
 	}

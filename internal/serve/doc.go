@@ -16,9 +16,11 @@
 //     epoch and opens a read window in which queued request handlers run
 //     concurrently against the quiescent store — reads never interleave
 //     with ingest, and readers never serialize against each other (the
-//     metastore's lazy tail views publish through atomic pointers). The
-//     final checkpoint freezes the store and leaves the window open for
-//     good, which is also the degenerate state NewFrozen starts in.
+//     metastore's lazy tail views publish through atomic pointers). A
+//     handler builds its body inside the window and writes it after
+//     leaving, so a client that stops reading cannot hold ingest back.
+//     The final checkpoint freezes the store and leaves the window open
+//     for good, which is also the degenerate state NewFrozen starts in.
 //
 //   - Epoch-keyed caching. Analysis bodies are cached under (config
 //     digest, experiment id, store epoch), so a repeated query is one map

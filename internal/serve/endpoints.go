@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -62,6 +63,48 @@ func writeBody(w http.ResponseWriter, b []byte) {
 	w.Write([]byte("\n"))
 }
 
+// respond builds a body inside a read window over the current state and
+// writes it once the window has closed; build must not keep record
+// pointers past its return. A write lasts as long as the client takes to
+// read, and a live server's ingest waits for every open window to close,
+// so no handler writes to the socket while it holds one. build returns the
+// body or an error reply.
+func (s *Server) respond(w http.ResponseWriter, build func(*state) ([]byte, error)) {
+	body, err := func() ([]byte, error) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return build(s.st)
+	}()
+	reply(w, body, err)
+}
+
+// reply writes body, or err as an error reply: with its status if it is a
+// *replyError, as a 500 otherwise.
+func reply(w http.ResponseWriter, body []byte, err error) {
+	if err == nil {
+		writeBody(w, body)
+		return
+	}
+	status := http.StatusInternalServerError
+	var re *replyError
+	if errors.As(err, &re) {
+		status = re.status
+	}
+	http.Error(w, err.Error(), status)
+}
+
+// replyError is an error reply decided inside a read window.
+type replyError struct {
+	status int
+	msg    string
+}
+
+func (e *replyError) Error() string { return e.msg }
+
+func noJob(panda int64) error {
+	return &replyError{http.StatusNotFound, fmt.Sprintf("no job with pandaid %d", panda)}
+}
+
 // handleHealthz answers without touching the store or any lock, so it
 // works even while a live scenario is mid-ingest.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -72,29 +115,29 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // epoch, window, and record counts. Byte-identical for any shard count or
 // segment size (those live in /api/meta/layout).
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	st := s.snapshot()
-	defer s.release()
-	res := st.res
-	writeJSON(w, struct {
-		Digest         string `json:"digest"`
-		Epoch          uint64 `json:"epoch"`
-		Final          bool   `json:"final"`
-		WindowFromSecs int64  `json:"window_from_secs"`
-		WindowToSecs   int64  `json:"window_to_secs"`
-		Jobs           int    `json:"jobs"`
-		Files          int    `json:"files"`
-		Transfers      int    `json:"transfers"`
-		WithTaskID     int    `json:"transfers_with_taskid"`
-	}{
-		Digest:         s.digest,
-		Epoch:          st.epoch,
-		Final:          st.final,
-		WindowFromSecs: int64(res.WindowFrom),
-		WindowToSecs:   int64(res.WindowTo),
-		Jobs:           res.Store.JobCount(),
-		Files:          res.Store.FileCount(),
-		Transfers:      res.Store.TransferCount(),
-		WithTaskID:     res.Store.TransfersWithTaskID(),
+	s.respond(w, func(st *state) ([]byte, error) {
+		res := st.res
+		return json.Marshal(struct {
+			Digest         string `json:"digest"`
+			Epoch          uint64 `json:"epoch"`
+			Final          bool   `json:"final"`
+			WindowFromSecs int64  `json:"window_from_secs"`
+			WindowToSecs   int64  `json:"window_to_secs"`
+			Jobs           int    `json:"jobs"`
+			Files          int    `json:"files"`
+			Transfers      int    `json:"transfers"`
+			WithTaskID     int    `json:"transfers_with_taskid"`
+		}{
+			Digest:         s.digest,
+			Epoch:          st.epoch,
+			Final:          st.final,
+			WindowFromSecs: int64(res.WindowFrom),
+			WindowToSecs:   int64(res.WindowTo),
+			Jobs:           res.Store.JobCount(),
+			Files:          res.Store.FileCount(),
+			Transfers:      res.Store.TransferCount(),
+			WithTaskID:     res.Store.TransfersWithTaskID(),
+		})
 	})
 }
 
@@ -102,21 +145,21 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 // endpoint whose body legitimately depends on the performance knobs
 // (shards, segment size) and on request history (cache stats).
 func (s *Server) handleLayout(w http.ResponseWriter, r *http.Request) {
-	st := s.snapshot()
-	defer s.release()
-	store := st.res.Store
-	writeJSON(w, struct {
-		Shards          int        `json:"shards"`
-		SegmentRows     int        `json:"segment_rows"`
-		SealedSegments  int        `json:"sealed_segments"`
-		InternedStrings int        `json:"interned_strings"`
-		Cache           CacheStats `json:"cache"`
-	}{
-		Shards:          store.ShardCount(),
-		SegmentRows:     store.SegmentRows(),
-		SealedSegments:  store.SealedSegments(),
-		InternedStrings: store.InternedStrings(),
-		Cache:           s.CacheStats(),
+	s.respond(w, func(st *state) ([]byte, error) {
+		store := st.res.Store
+		return json.Marshal(struct {
+			Shards          int        `json:"shards"`
+			SegmentRows     int        `json:"segment_rows"`
+			SealedSegments  int        `json:"sealed_segments"`
+			InternedStrings int        `json:"interned_strings"`
+			Cache           CacheStats `json:"cache"`
+		}{
+			Shards:          store.ShardCount(),
+			SegmentRows:     store.SegmentRows(),
+			SealedSegments:  store.SealedSegments(),
+			InternedStrings: store.InternedStrings(),
+			Cache:           s.CacheStats(),
+		})
 	})
 }
 
@@ -139,27 +182,30 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown experiment %q", id), http.StatusNotFound)
 		return
 	}
-	var st *state
-	key := cacheKey{digest: s.digest, id: id}
-	if e.Suite != nil {
-		st = s.snapshot()
-		defer s.release()
-		key.epoch = st.epoch
-	}
-	body, err, _ := s.cache.get(key, func() ([]byte, error) {
-		b := &Body{Experiment: id, Digest: s.digest, Epoch: key.epoch}
+	// render returns the cached body, filling the entry on a miss; st is
+	// nil for an entry that reads no store.
+	render := func(st *state) ([]byte, error) {
+		key := cacheKey{digest: s.digest, id: id}
 		if st != nil {
-			b.Artifact = e.Suite(st.getSuite(s.opt.MatchWorkers))
-		} else {
-			b.Artifact = e.Scenarios(s.cfg.Seed, s.opt.MatchWorkers)
+			key.epoch = st.epoch
 		}
-		return json.Marshal(b)
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		body, err, _ := s.cache.get(key, func() ([]byte, error) {
+			b := &Body{Experiment: id, Digest: s.digest, Epoch: key.epoch}
+			if st != nil {
+				b.Artifact = e.Suite(st.getSuite(s.opt.MatchWorkers))
+			} else {
+				b.Artifact = e.Scenarios(s.cfg.Seed, s.opt.MatchWorkers)
+			}
+			return json.Marshal(b)
+		})
+		return body, err
+	}
+	if e.Suite == nil {
+		body, err := render(nil)
+		reply(w, body, err)
 		return
 	}
-	writeBody(w, body)
+	s.respond(w, render)
 }
 
 // jobView is the match-lookup payload: the job row plus its matched
@@ -191,18 +237,17 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	st := s.snapshot()
-	defer s.release()
-	j, ok := st.res.Store.Job(panda)
-	if !ok {
-		http.Error(w, fmt.Sprintf("no job with pandaid %d", panda), http.StatusNotFound)
-		return
-	}
-	v := jobView{Job: *j}
-	for _, f := range st.res.Store.FilesForJob(j.PandaID, j.JediTaskID) {
-		v.Files = append(v.Files, *f)
-	}
-	writeJSON(w, v)
+	s.respond(w, func(st *state) ([]byte, error) {
+		j, ok := st.res.Store.Job(panda)
+		if !ok {
+			return nil, noJob(panda)
+		}
+		v := jobView{Job: *j}
+		for _, f := range st.res.Store.FilesForJob(j.PandaID, j.JediTaskID) {
+			v.Files = append(v.Files, *f)
+		}
+		return json.Marshal(v)
+	})
 }
 
 // handleMatch runs one matching probe live: the paper's Algorithm 1 on a
@@ -226,19 +271,18 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown method %q (want exact, rm1, or rm2)", m), http.StatusBadRequest)
 		return
 	}
-	st := s.snapshot()
-	defer s.release()
-	j, ok := st.res.Store.Job(panda)
-	if !ok {
-		http.Error(w, fmt.Sprintf("no job with pandaid %d", panda), http.StatusNotFound)
-		return
-	}
-	evs := core.NewMatcher(st.res.Store).MatchJob(j, method)
-	v := jobView{Job: *j, Method: method.String(), Matched: len(evs)}
-	for _, ev := range evs {
-		v.Transfers = append(v.Transfers, *ev)
-	}
-	writeJSON(w, v)
+	s.respond(w, func(st *state) ([]byte, error) {
+		j, ok := st.res.Store.Job(panda)
+		if !ok {
+			return nil, noJob(panda)
+		}
+		evs := core.NewMatcher(st.res.Store).MatchJob(j, method)
+		v := jobView{Job: *j, Method: method.String(), Matched: len(evs)}
+		for _, ev := range evs {
+			v.Transfers = append(v.Transfers, *ev)
+		}
+		return json.Marshal(v)
+	})
 }
 
 // handleTask lists a JEDI task's transfer events (ingestion order,
@@ -257,22 +301,22 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	st := s.snapshot()
-	defer s.release()
-	evs := st.res.Store.TransfersByTaskID(jedi)
-	total := len(evs)
-	if len(evs) > limit {
-		evs = evs[:limit]
-	}
-	out := struct {
-		JediTaskID int64                   `json:"jeditaskid"`
-		Total      int                     `json:"total"`
-		Transfers  []records.TransferEvent `json:"transfers"`
-	}{JediTaskID: jedi, Total: total, Transfers: make([]records.TransferEvent, len(evs))}
-	for i, ev := range evs {
-		out.Transfers[i] = *ev
-	}
-	writeJSON(w, out)
+	s.respond(w, func(st *state) ([]byte, error) {
+		evs := st.res.Store.TransfersByTaskID(jedi)
+		total := len(evs)
+		if len(evs) > limit {
+			evs = evs[:limit]
+		}
+		out := struct {
+			JediTaskID int64                   `json:"jeditaskid"`
+			Total      int                     `json:"total"`
+			Transfers  []records.TransferEvent `json:"transfers"`
+		}{JediTaskID: jedi, Total: total, Transfers: make([]records.TransferEvent, len(evs))}
+		for i, ev := range evs {
+			out.Transfers[i] = *ev
+		}
+		return json.Marshal(out)
+	})
 }
 
 // handlePandaIDs returns the first `limit` pandaids (default 256, capped
@@ -293,16 +337,16 @@ func (s *Server) handlePandaIDs(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	st := s.snapshot()
-	defer s.release()
-	jobs := st.windowJobs()
-	ids := make([]int64, min(limit, len(jobs)))
-	for i := range ids {
-		ids[i] = jobs[i].PandaID
-	}
-	writeJSON(w, struct {
-		PandaIDs []int64 `json:"pandaids"`
-	}{ids})
+	s.respond(w, func(st *state) ([]byte, error) {
+		jobs := st.windowJobs()
+		ids := make([]int64, min(limit, len(jobs)))
+		for i := range ids {
+			ids[i] = jobs[i].PandaID
+		}
+		return json.Marshal(struct {
+			PandaIDs []int64 `json:"pandaids"`
+		}{ids})
+	})
 }
 
 // handleSweep launches a canned scenario grid through the sweep engine
@@ -416,43 +460,43 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st := s.snapshot()
-	defer s.release()
-	store := st.res.Store
-	var rep metastore.AuditReport
-	if windowed {
-		rep = store.AuditTransfersWindow(simtime.VTime(from), simtime.VTime(to))
-	} else {
-		rep = store.AuditSealed()
-	}
-	views := make([]violationView, 0, min(len(rep.Violations), maxVerifyViolations))
-	for _, v := range rep.Violations {
-		if len(views) == maxVerifyViolations {
-			break
+	s.respond(w, func(st *state) ([]byte, error) {
+		store := st.res.Store
+		var rep metastore.AuditReport
+		if windowed {
+			rep = store.AuditTransfersWindow(simtime.VTime(from), simtime.VTime(to))
+		} else {
+			rep = store.AuditSealed()
 		}
-		views = append(views, violationView{
-			Segment: v.Ref.String(), Row: v.Row, Kind: string(v.Kind), Detail: v.Detail,
+		views := make([]violationView, 0, min(len(rep.Violations), maxVerifyViolations))
+		for _, v := range rep.Violations {
+			if len(views) == maxVerifyViolations {
+				break
+			}
+			views = append(views, violationView{
+				Segment: v.Ref.String(), Row: v.Row, Kind: string(v.Kind), Detail: v.Detail,
+			})
+		}
+		return json.Marshal(struct {
+			Digest     string          `json:"digest"`
+			Epoch      uint64          `json:"epoch"`
+			Windowed   bool            `json:"windowed"`
+			Commitment string          `json:"commitment"`
+			Segments   int             `json:"segments_audited"`
+			Rows       int             `json:"rows_audited"`
+			Clean      bool            `json:"clean"`
+			Violations int             `json:"violations"`
+			Details    []violationView `json:"details,omitempty"`
+		}{
+			Digest:     s.digest,
+			Epoch:      st.epoch,
+			Windowed:   windowed,
+			Commitment: store.StoreCommitment().Digest(),
+			Segments:   rep.Segments,
+			Rows:       rep.Rows,
+			Clean:      rep.Clean(),
+			Violations: len(rep.Violations),
+			Details:    views,
 		})
-	}
-	writeJSON(w, struct {
-		Digest     string          `json:"digest"`
-		Epoch      uint64          `json:"epoch"`
-		Windowed   bool            `json:"windowed"`
-		Commitment string          `json:"commitment"`
-		Segments   int             `json:"segments_audited"`
-		Rows       int             `json:"rows_audited"`
-		Clean      bool            `json:"clean"`
-		Violations int             `json:"violations"`
-		Details    []violationView `json:"details,omitempty"`
-	}{
-		Digest:     s.digest,
-		Epoch:      st.epoch,
-		Windowed:   windowed,
-		Commitment: store.StoreCommitment().Digest(),
-		Segments:   rep.Segments,
-		Rows:       rep.Rows,
-		Clean:      rep.Clean(),
-		Violations: len(rep.Violations),
-		Details:    views,
 	})
 }

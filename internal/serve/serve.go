@@ -72,13 +72,15 @@ func (st *state) getSuite(workers int) *experiments.Suite {
 }
 
 // Server is the HTTP/JSON front end over one scenario's store. Handlers
-// that read the store acquire the read half of mu for their whole
-// request; the live scenario's goroutine holds the write half while
-// ingesting and releases it at every observer checkpoint, so reads run in
-// windows where the store is quiescent — concurrently with each other,
-// never with ingest. Handlers that read no store (/healthz, /metrics, the
-// experiment list, E14/E15, /api/sweep) take no lock. For a frozen server
-// the write half is never taken and reads are unrestricted.
+// that read the store acquire the read half of mu while they build the
+// body and write it after releasing it (respond); the live scenario's
+// goroutine holds the write half while ingesting and releases it at every
+// observer checkpoint, so reads run in windows where the store is
+// quiescent — concurrently with each other, never with ingest — and a
+// client that stops reading holds no window open. Handlers that read no
+// store (/healthz, /metrics, the experiment list, E14/E15, /api/sweep)
+// take no lock. For a frozen server the write half is never taken and
+// reads are unrestricted.
 type Server struct {
 	opt    Options
 	cfg    sim.Config // the served scenario; E14 and E15 run at its seed
@@ -199,13 +201,3 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// snapshot acquires a read window and returns the current state. The
-// caller must call release (RUnlock) when done with every store-derived
-// value — record pointers must not be used past the window.
-func (s *Server) snapshot() *state {
-	s.mu.RLock()
-	return s.st
-}
-
-func (s *Server) release() { s.mu.RUnlock() }

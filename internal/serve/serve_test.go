@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"panrucio/internal/experiments"
+	"panrucio/internal/metastore"
+	"panrucio/internal/records"
 	"panrucio/internal/report"
 	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
@@ -317,6 +319,100 @@ func TestScenarioExperimentsRenderOutsideReadWindow(t *testing.T) {
 	<-s.Done()
 	if advanced < 2 {
 		t.Fatalf("epoch advanced by %d while a cold e14 request was in flight, want >= 2", advanced)
+	}
+}
+
+// stalledWriter is a client that has stopped reading: its first Write
+// closes entered, then blocks until release is closed.
+type stalledWriter struct {
+	header  http.Header
+	status  int
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+
+func (w *stalledWriter) WriteHeader(status int) { w.status = status }
+
+func (w *stalledWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	return len(b), nil
+}
+
+// TestBodiesWrittenOutsideReadWindow sends every store-reading endpoint of
+// a live server a client that stops reading. Each handler must build its
+// body, close its read window and only then block in Write, so ingest
+// goes on: the epoch advances while every write is stalled.
+func TestBodiesWrittenOutsideReadWindow(t *testing.T) {
+	cfg := sim.QuickConfig(11)
+	const every = 6 * simtime.Hour
+	var j records.JobRecord // a user job the first checkpoint's store holds
+	sim.RunWithObserver(cfg, every, func(now simtime.VTime, st *metastore.Store) {
+		if jobs := st.Jobs(0, now, records.LabelUser); j.PandaID == 0 && len(jobs) > 0 {
+			j = *jobs[0]
+		}
+	})
+	if j.PandaID == 0 {
+		t.Fatal("no user job by the first checkpoint")
+	}
+	targets := []string{
+		"/api/meta", "/api/meta/layout", "/api/experiments/rates",
+		fmt.Sprintf("/api/job?panda=%d", j.PandaID),
+		fmt.Sprintf("/api/match?panda=%d", j.PandaID),
+		fmt.Sprintf("/api/task?jedi=%d", j.JediTaskID),
+		"/api/pandaids", "/api/verify",
+	}
+	s := NewLive(cfg, every, Options{})
+	release := make(chan struct{})
+	writers := make([]*stalledWriter, len(targets))
+	var wg sync.WaitGroup
+	for i, target := range targets {
+		w := &stalledWriter{header: http.Header{}, entered: make(chan struct{}), release: release}
+		writers[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		}()
+	}
+	deadline := time.After(10 * time.Second)
+	for i, w := range writers {
+		select {
+		case <-w.entered:
+		case <-deadline:
+			close(release)
+			t.Fatalf("GET %s never reached Write", targets[i])
+		}
+	}
+	from := s.Epoch()
+	moved := func() bool {
+		select {
+		case <-s.Done(): // the final publish takes the write lock too
+			return true
+		default:
+			return s.Epoch() > from
+		}
+	}
+	for stop := time.Now().Add(10 * time.Second); !moved() && time.Now().Before(stop); {
+		time.Sleep(time.Millisecond)
+	}
+	advanced := moved()
+	close(release)
+	wg.Wait()
+	<-s.Done()
+	if !advanced {
+		t.Fatalf("epoch stayed at %d while every response write was stalled", from)
+	}
+	for i, w := range writers {
+		if w.status != http.StatusOK {
+			t.Errorf("GET %s = %d", targets[i], w.status)
+		}
 	}
 }
 

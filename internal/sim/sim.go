@@ -208,14 +208,18 @@ func runReusing(cfg Config, store *metastore.Store, every simtime.VTime, obs Obs
 
 	corr := corruption.New(root.Split("corruption"), cfg.Corruption)
 
+	// Every put goes through the ingest pipe, which applies it off the
+	// event loop; corruption stays ahead of it, so its draws keep their
+	// order.
+	pipe := newIngestPipe(store)
 	net := netsim.New(eng, grid, root.Split("net"), cfg.Net)
 	ruc := rucio.New(eng, grid, net, root.Split("rucio"), cfg.Rucio, func(ev *records.TransferEvent) {
 		if corr.Transfer(ev) {
-			store.PutTransfer(ev)
+			pipe.putTransfer(ev)
 		}
 	})
 	pan := panda.NewSystem(eng, grid, ruc, root.Split("panda"), cfg.Panda,
-		store.PutJob, store.PutFile)
+		pipe.putJob, pipe.putFile)
 	workload.Start(eng, grid, ruc, pan, root.Split("workload"), cfg.Workload)
 	if !cfg.DisableBackground {
 		rucio.StartBackground(ruc, root.Split("background"), cfg.Background)
@@ -224,10 +228,11 @@ func runReusing(cfg Config, store *metastore.Store, every simtime.VTime, obs Obs
 	if obs != nil && every > 0 {
 		// The checkpoint event reschedules itself until the horizon. It only
 		// reads the store, so it cannot perturb the trajectory of the
-		// scenario's own events.
+		// scenario's own events. The drain hands it every put made so far.
 		last := start
 		var tick func()
 		tick = func() {
+			pipe.drain()
 			obs(eng.Now(), store)
 			now := time.Now()
 			mCheckpoints.Inc()
@@ -241,9 +246,10 @@ func runReusing(cfg Config, store *metastore.Store, every simtime.VTime, obs Obs
 	}
 
 	eng.Run()
-	// Ingestion is complete: build the sorted time indices now so the
-	// analyses (and the matcher's parallel workers) start from a frozen,
-	// read-only store.
+	// Ingestion is complete once the pipe drains: build the sorted time
+	// indices now so the analyses (and the matcher's parallel workers)
+	// start from a frozen, read-only store.
+	pipe.drain()
 	store.Freeze()
 	wall := time.Since(start)
 	mRuns.Inc()
