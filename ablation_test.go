@@ -27,7 +27,7 @@ func ablationConfig(seed int64) sim.Config {
 func exactRates(cfg sim.Config) (jobPct, transferPct float64) {
 	res := sim.Run(cfg)
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-	r := core.NewMatcher(res.Store).Run(jobs, core.Exact)
+	r := core.NewMatcher(res.Store).RunParallel(jobs, core.Exact, 1)
 	return r.MatchedJobPct(), r.MatchedTransferPct()
 }
 
@@ -68,7 +68,7 @@ func BenchmarkAblationNoBackground(b *testing.B) {
 		res := sim.Run(cfg)
 		events = res.StoredEvents
 		jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-		tp = core.NewMatcher(res.Store).Run(jobs, core.Exact).MatchedTransferPct()
+		tp = core.NewMatcher(res.Store).RunParallel(jobs, core.Exact, 1).MatchedTransferPct()
 	}
 	b.ReportMetric(float64(events), "events")
 	b.ReportMetric(tp, "transfer_pct")
@@ -84,7 +84,7 @@ func BenchmarkAblationAllSequentialSites(b *testing.B) {
 		cfg.Rucio.SequentialSiteFraction = 0.999999
 		res := sim.Run(cfg)
 		jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-		r := core.NewMatcher(res.Store).Run(jobs, core.Exact)
+		r := core.NewMatcher(res.Store).RunParallel(jobs, core.Exact, 1)
 		sum, n := 0.0, 0
 		for _, m := range r.Matches {
 			sum += m.QueueTransferFraction()
@@ -108,7 +108,7 @@ func BenchmarkAblationNoDispatchDelay(b *testing.B) {
 		cfg.Panda.DispatchDelayMean = 1 // effectively zero
 		res := sim.Run(cfg)
 		jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-		r := core.NewMatcher(res.Store).Run(jobs, core.Exact)
+		r := core.NewMatcher(res.Store).RunParallel(jobs, core.Exact, 1)
 		above75 = 0
 		for _, m := range r.Matches {
 			if m.QueueTransferFraction() >= 0.75 {
@@ -173,7 +173,7 @@ func BenchmarkAblationSerialMatcher(b *testing.B) {
 	m := core.NewMatcher(res.Store)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Run(jobs, core.RM2)
+		m.RunParallel(jobs, core.RM2, 1)
 	}
 	b.ReportMetric(float64(len(jobs)), "jobs")
 }

@@ -15,7 +15,7 @@
 // is a paper-scale (1x) run and -scale 200 the 10x stress case. At scaled
 // volumes the shape checks still apply — the scenario's proportions are
 // scale-free. -shards sets the metastore shard count and -segment-rows
-// the per-shard segment-seal threshold (0 = default); neither ever
+// the segment-seal threshold per time index (0 = default); neither ever
 // changes output.
 //
 // -trace writes a JSONL run trace: one "checkpoint" event per
@@ -58,7 +58,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "matcher worker goroutines (0 = all cores, 1 = serial)")
 	fs.Float64Var(&o.scale, "scale", 1, "event-volume multiplier (20 = paper scale, 200 = 10x)")
 	fs.IntVar(&o.shards, "shards", 0, "metastore shard count (0 = default)")
-	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore per-shard segment-seal threshold (0 = default)")
+	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore segment-seal threshold per time index (0 = default)")
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL run trace to this file")
 	fs.Float64Var(&o.traceEvery, "trace-every", 6, "virtual hours between trace checkpoints (with -trace)")
 	if err := fs.Parse(args); err != nil {

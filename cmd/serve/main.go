@@ -66,7 +66,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.quick, "quick", false, "serve the quick 2-day scenario instead of the paper window")
 	fs.Float64Var(&o.scale, "scale", 0, "event-volume multiplier (0 or 1 = calibrated default)")
 	fs.IntVar(&o.shards, "shards", 0, "metastore shards (0 = default); responses are byte-identical for any value")
-	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore per-shard segment-seal threshold (0 = default)")
+	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore segment-seal threshold per time index (0 = default)")
 	fs.IntVar(&o.matchWorkers, "match-workers", 0, "matcher goroutines per analysis (0 = all cores)")
 	fs.IntVar(&o.cache, "cache", 0, "result-cache entries (0 = default 256)")
 	fs.BoolVar(&o.live, "live", false, "serve while the scenario ingests (read windows at every -every hours)")

@@ -56,7 +56,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "concurrent scenarios (0 = all cores, 1 = serial)")
 	fs.IntVar(&o.matchWorkers, "match-workers", 1, "matcher goroutines per scenario (0 = all cores)")
 	fs.IntVar(&o.shards, "shards", 0, "metastore shards per worker store (0 = default)")
-	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore per-shard segment-seal threshold (0 = default)")
+	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore segment-seal threshold per time index (0 = default)")
 	fs.StringVar(&o.format, "format", "markdown", "report format: markdown or json")
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL run trace to this file")
 	fs.Float64Var(&o.traceEvery, "trace-every", 6, "virtual hours between trace checkpoints (with -trace)")

@@ -192,7 +192,7 @@ func TestActivityBreakdownAndTables(t *testing.T) {
 
 func TestTopJobsSelection(t *testing.T) {
 	store, jobs := buildMatchedStore()
-	res := core.NewMatcher(store).Run(jobs, core.Exact)
+	res := core.NewMatcher(store).RunParallel(jobs, core.Exact, 1)
 
 	local := TopJobs(res, core.AllLocal, 0.10, 40)
 	if len(local) != 1 || local[0].PandaID != 101 {
@@ -310,7 +310,7 @@ func TestFluctuationRatio(t *testing.T) {
 
 func TestThresholdCurves(t *testing.T) {
 	store, jobs := buildMatchedStore()
-	res := core.NewMatcher(store).Run(jobs, core.Exact)
+	res := core.NewMatcher(store).RunParallel(jobs, core.Exact, 1)
 	tc := BuildThresholdCurves(res, nil)
 	if tc.Totals[JobOKTaskOK] != 1 || tc.Totals[JobFailTaskFail] != 1 {
 		t.Fatalf("totals = %v", tc.Totals)
@@ -355,7 +355,7 @@ func TestCaseStudies(t *testing.T) {
 	grid := topology.Default(topology.DefaultSpec{})
 	store, jobs := buildMatchedStore()
 	m := core.NewMatcher(store)
-	exact := m.Run(jobs, core.Exact)
+	exact := m.RunParallel(jobs, core.Exact, 1)
 
 	long := FindLongTransferCase(exact, grid, 0.1)
 	if long == nil || long.Match.Job.PandaID != 101 {
@@ -406,7 +406,7 @@ func TestCaseStudies(t *testing.T) {
 		ev.Activity = records.AnalysisDownload
 		store2.PutTransfer(ev)
 	}
-	rm2 := core.NewMatcher(store2).Run(store2.Jobs(0, 100000, records.LabelUser), core.RM2)
+	rm2 := core.NewMatcher(store2).RunParallel(store2.Jobs(0, 100000, records.LabelUser), core.RM2, 1)
 	cs := FindRM2RedundantCase(rm2, grid)
 	if cs == nil {
 		t.Fatal("RM2 redundant case not found")
@@ -424,7 +424,7 @@ func TestCaseStudies(t *testing.T) {
 	// The exact method sees only the intact duplicate: the UNKNOWN copy is
 	// filtered by the site condition, so the redundancy is invisible to it
 	// — only RM2 exposes the duplicate pair (paper Section 5.4).
-	exact2 := core.NewMatcher(store2).Run(store2.Jobs(0, 100000, records.LabelUser), core.Exact)
+	exact2 := core.NewMatcher(store2).RunParallel(store2.Jobs(0, 100000, records.LabelUser), core.Exact, 1)
 	if exact2.MatchedJobs != 1 || exact2.MatchedTransfers != 1 {
 		t.Fatalf("exact on redundant case: jobs=%d transfers=%d", exact2.MatchedJobs, exact2.MatchedTransfers)
 	}

@@ -194,7 +194,7 @@ func TestScanOnSimulatedRun(t *testing.T) {
 	}
 	res := sim.Run(sim.PaperConfig(1))
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-	rm2 := core.NewMatcher(res.Store).Run(jobs, core.RM2)
+	rm2 := core.NewMatcher(res.Store).RunParallel(jobs, core.RM2, 1)
 	rep := NewScanner(res.Grid).Scan(rm2)
 	if len(rep.Findings) == 0 {
 		t.Fatal("no findings on the default run")

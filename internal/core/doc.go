@@ -19,17 +19,18 @@
 //     an invalid name.
 //
 // Entry points: NewMatcher over a metastore, then MatchJob for one job or
-// Run / RunParallel for a job set; RepairStore and MeasureUplift apply RM2
-// site inferences and quantify the exact-match uplift. The matcher probes
-// the store's per-job join entries, which the segmented store answers at
-// any point mid-run — MatchJob needs no Freeze and is the query surface of
-// the sim.RunWithObserver checkpoints. The store hands out join entries
-// only for jobs with at least one candidate transfer, so a job that cannot
-// match costs one map miss. Run and RunParallel still freeze the store up
-// front: their worker goroutines require the read-only frozen state, which
-// is what makes splitting the job set safe.
+// RunParallel for a job set (one worker runs it inline); RepairStore and
+// MeasureUplift apply RM2 site inferences and quantify the exact-match
+// uplift. The matcher probes the store's per-job join entries, which the
+// segmented store answers at any point mid-run — MatchJob needs no Freeze
+// and is the query surface of the sim.RunWithObserver checkpoints. The
+// store hands out join entries only for jobs with at least one candidate
+// transfer, so a job that cannot match costs one map miss. A matching
+// pass reads no time index: the join entries, file rows, task buckets and
+// counts it reads are all built at ingest, so its worker goroutines share
+// the store as it is, frozen or not, as long as no put runs beside them.
 //
-// Determinism invariant: Run and RunParallel are one streaming pipeline in
+// Determinism invariant: RunParallel is one streaming pipeline in
 // which each worker matches one contiguous range of the job slice, the
 // aggregate is order-insensitive and Matches are sorted by pandaid (input
 // position breaking ties), so results are identical for any worker count,

@@ -155,7 +155,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestIndexedMatcherEquivalence fuzzes stores and asserts the indexed
-// MatchJob and the Run/RunParallel pipeline (workers 1 and 4) reproduce
+// MatchJob and the RunParallel pipeline (workers 1 and 4) reproduce
 // the nested-loop reference exactly, per job and in aggregate.
 func TestIndexedMatcherEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
@@ -168,7 +168,6 @@ func TestIndexedMatcherEquivalence(t *testing.T) {
 					m.MatchJob(j, method), m.matchJobReference(j, method))
 			}
 			ref := m.runReference(jobs, method)
-			sameResult(t, fmt.Sprintf("seed %d %v Run", seed, method), m.Run(jobs, method), ref)
 			for _, workers := range []int{1, 4} {
 				sameResult(t, fmt.Sprintf("seed %d %v RunParallel(%d)", seed, method, workers),
 					m.RunParallel(jobs, method, workers), ref)
@@ -202,7 +201,7 @@ func TestDuplicatePandaIDDeterministicOrder(t *testing.T) {
 		JediTaskID: 7, StartedAt: 1100, EndedAt: 1300,
 	})
 	m := NewMatcher(store)
-	want := m.Run(jobs, RM1)
+	want := m.RunParallel(jobs, RM1, 1)
 	if want.MatchedJobs != 6 {
 		t.Fatalf("MatchedJobs = %d, want all 6 duplicate rows", want.MatchedJobs)
 	}
@@ -210,7 +209,7 @@ func TestDuplicatePandaIDDeterministicOrder(t *testing.T) {
 		got := m.RunParallel(jobs, RM1, 4)
 		for i := range got.Matches {
 			if got.Matches[i].Job != want.Matches[i].Job {
-				t.Fatalf("trial %d: match %d is a different duplicate row than serial Run's", trial, i)
+				t.Fatalf("trial %d: match %d is a different duplicate row than the one-worker pass's", trial, i)
 			}
 		}
 	}

@@ -18,9 +18,9 @@ func TestMonotonicityOnSimulatedData(t *testing.T) {
 	}
 	m := NewMatcher(res.Store)
 
-	exact := m.Run(jobs, Exact)
-	rm1 := m.Run(jobs, RM1)
-	rm2 := m.Run(jobs, RM2)
+	exact := m.RunParallel(jobs, Exact, 1)
+	rm1 := m.RunParallel(jobs, RM1, 1)
+	rm2 := m.RunParallel(jobs, RM2, 1)
 
 	if !(exact.MatchedJobs <= rm1.MatchedJobs && rm1.MatchedJobs <= rm2.MatchedJobs) {
 		t.Errorf("job monotonicity violated: %d / %d / %d",
@@ -63,8 +63,8 @@ func TestPaperShapeOnSimulatedData(t *testing.T) {
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
 	m := NewMatcher(res.Store)
 
-	exact := m.Run(jobs, Exact)
-	rm2 := m.Run(jobs, RM2)
+	exact := m.RunParallel(jobs, Exact, 1)
+	rm2 := m.RunParallel(jobs, RM2, 1)
 
 	if exact.MatchedTransfers == 0 {
 		t.Skip("no exact matches in quick scenario for this seed")
@@ -91,7 +91,7 @@ func TestProductionJobsExcludedFromUserQuery(t *testing.T) {
 	res := sim.Run(sim.QuickConfig(13))
 	userJobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
 	m := NewMatcher(res.Store)
-	rm2 := m.Run(userJobs, RM2)
+	rm2 := m.RunParallel(userJobs, RM2, 1)
 	for _, match := range rm2.Matches {
 		for _, ev := range match.Transfers {
 			if ev.Activity == records.ProductionUp || ev.Activity == records.ProductionDown {

@@ -96,7 +96,7 @@ func benchMatchRun(b *testing.B, candidateEvery int, pass func(*Matcher, []*reco
 	b.ReportMetric(float64(matched), "matched_jobs")
 }
 
-func indexedPass(m *Matcher, jobs []*records.JobRecord) *Result   { return m.Run(jobs, Exact) }
+func indexedPass(m *Matcher, jobs []*records.JobRecord) *Result   { return m.RunParallel(jobs, Exact, 1) }
 func referencePass(m *Matcher, jobs []*records.JobRecord) *Result { return m.runReference(jobs, Exact) }
 func parallelPass(m *Matcher, jobs []*records.JobRecord) *Result {
 	return m.RunParallel(jobs, Exact, 4)

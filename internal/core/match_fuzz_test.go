@@ -18,9 +18,10 @@ var fuzzSites = []string{"CERN-PROD", "BNL-ATLAS", "UNKNOWN"}
 // rows arrive both before and after their key's first event, so groups
 // bind at PutFile and late, when an event binds parked rows. On the live
 // store and again after Freeze, MatchJob must equal matchJobReference for
-// every job under Exact, RM1 and RM2. Run must equal the reference pass,
-// and RunParallel with 1–5 workers must equal Run over no jobs, over the
-// first three (fewer jobs than workers) and over every job.
+// every job under Exact, RM1 and RM2. RunParallel at one worker must equal
+// the reference pass, and RunParallel with 1–5 workers must equal it at
+// one worker over no jobs, over the first three (fewer jobs than workers)
+// and over every job.
 //
 // Input layout: data[0] → shard count (1..4), then two bytes per put, up
 // to 256 puts. The first byte a picks the kind a%4 — a job, a file row, a
@@ -106,9 +107,9 @@ func FuzzMatchJob(f *testing.F) {
 
 		jobs := s.Jobs(0, 5, "")
 		for _, method := range methods {
-			sameResult(t, fmt.Sprintf("%v Run", method), m.Run(jobs, method), m.runReference(jobs, method))
+			sameResult(t, fmt.Sprintf("%v RunParallel(1)", method), m.RunParallel(jobs, method, 1), m.runReference(jobs, method))
 			for _, n := range []int{0, min(len(jobs), 3), len(jobs)} {
-				want := m.Run(jobs[:n], method)
+				want := m.RunParallel(jobs[:n], method, 1)
 				for workers := 1; workers <= 5; workers++ {
 					sameResult(t, fmt.Sprintf("%v RunParallel(%d jobs, %d workers)", method, n, workers),
 						m.RunParallel(jobs[:n], method, workers), want)

@@ -300,13 +300,6 @@ func (r *Result) MatchedJobPct() float64 {
 	return 100 * float64(r.MatchedJobs) / float64(r.TotalJobs)
 }
 
-// Run applies one strategy to a job set and aggregates the outcome. It is
-// the single-worker case of the streaming pipeline in parallel.go;
-// Matches come back ordered by pandaid.
-func (m *Matcher) Run(jobs []*records.JobRecord, method Method) *Result {
-	return m.run(jobs, method, 1)
-}
-
 // RedundantGroup is a set of ≥2 matched transfers moving the same file
 // (same LFN) for the same job — the avoidable duplicate pattern of
 // Fig. 12 / Table 3.

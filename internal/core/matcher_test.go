@@ -272,7 +272,7 @@ func TestRunAggregation(t *testing.T) {
 		FileSize: 3e9, Kind: records.FileInput,
 	})
 	jobs := []*records.JobRecord{s.job, j2}
-	res := s.matcher().Run(jobs, Exact)
+	res := s.matcher().RunParallel(jobs, Exact, 1)
 	if res.MatchedJobs != 2 {
 		t.Fatalf("MatchedJobs = %d, want 2", res.MatchedJobs)
 	}

@@ -12,7 +12,7 @@ var (
 	mMatchProbes = obs.Default().Counter("core_match_probes_total",
 		"MatchJob probes (jobs evaluated, across all methods and matchers)")
 	mMatchPasses = obs.Default().Counter("core_match_passes_total",
-		"full matching passes (one Run/RunParallel call)")
+		"full matching passes (one RunParallel call)")
 	mMatchPassSeconds = obs.Default().Histogram("core_match_pass_seconds",
 		"wall time of one full matching pass", obs.DefBuckets)
 	mMatchWorkerSeconds = obs.Default().Histogram("core_match_worker_seconds",

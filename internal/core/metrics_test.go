@@ -19,11 +19,10 @@ func TestMatchProbeCounter(t *testing.T) {
 		do   func()
 		want int64
 	}{
-		{"Run", func() { m.Run(jobs, Exact) }, n},
 		{"RunParallel/1", func() { m.RunParallel(jobs, RM1, 1) }, n},
 		{"RunParallel/3", func() { m.RunParallel(jobs, RM2, 3) }, n},
 		{"MatchJob", func() { m.MatchJob(jobs[0], Exact) }, 1},
-		{"Run/empty", func() { m.Run(nil, Exact) }, 0},
+		{"RunParallel/1/empty", func() { m.RunParallel(nil, Exact, 1) }, 0},
 		{"RunParallel/3/empty", func() { m.RunParallel([]*records.JobRecord{}, RM2, 3) }, 0},
 	} {
 		before := mMatchProbes.Value()

@@ -20,7 +20,7 @@ func benchMatchObs(b *testing.B, enabled bool) {
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		matched = m.Run(jobs, Exact).MatchedJobs
+		matched = m.RunParallel(jobs, Exact, 1).MatchedJobs
 	}
 	b.ReportMetric(float64(matched), "matched_jobs")
 }

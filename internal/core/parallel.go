@@ -9,33 +9,27 @@ import (
 	"panrucio/internal/records"
 )
 
-// RunParallel is Run with the per-job matching fanned out across workers —
-// the parallelization the paper's limitations section singles out as the
-// path to full-scale analysis ("any future systematic and scalable
-// analysis designs, such as parallelization, will be especially
-// valuable"). The metastore is frozen up front — live queries maintain
-// per-shard caches, so only the frozen (read-only) state may be shared by
-// worker goroutines — making splitting the job set safe; results are
-// aggregated by a single streaming routine and Matches are ordered by
-// pandaid, making the output identical to Run's.
+// RunParallel applies one strategy to a job set and aggregates the
+// outcome, with the per-job matching fanned out across workers — the
+// parallelization the paper's limitations section singles out as the path
+// to full-scale analysis ("any future systematic and scalable analysis
+// designs, such as parallelization, will be especially valuable").
+// Workers read only the join entries, file rows, task buckets and counts
+// the store builds at ingest — no time index — so they share the store as
+// it is, frozen or live, as long as no put runs beside the pass.
+//
+// Each worker takes one contiguous range of the job slice and streams its
+// matches into one aggregator; the merged matches are sorted by pandaid,
+// so the output is identical for any worker count. workers == 1 is the
+// degenerate case that runs inline with no goroutines or channel. Ranges
+// need no pre-pass over the jobs: which worker evaluates a job changes no
+// result, because the aggregator is order-insensitive and finish imposes
+// the pandaid order. The pass adds len(jobs) to core_match_probes_total
+// once, at its end, rather than one atomic add per job on a cache line
+// every worker shares.
 //
 // workers <= 0 selects GOMAXPROCS.
 func (m *Matcher) RunParallel(jobs []*records.JobRecord, method Method, workers int) *Result {
-	return m.run(jobs, method, workers)
-}
-
-// run is the unified matching pipeline behind Run and RunParallel: give
-// each worker one contiguous range of the job slice, stream every match
-// into one aggregator, and sort the merged matches by pandaid. workers == 1
-// is the degenerate case that runs inline with no goroutines or channel.
-// Ranges need no pre-pass over the jobs: which worker evaluates a job
-// changes no result, because the aggregator is order-insensitive and
-// finish imposes the pandaid order. The pass adds len(jobs) to
-// core_match_probes_total once, at its end, rather than one atomic add
-// per job on a cache line every worker shares.
-func (m *Matcher) run(jobs []*records.JobRecord, method Method, workers int) *Result {
-	// Freeze up front so worker goroutines hit a read-only store.
-	m.store.Freeze()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

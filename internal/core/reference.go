@@ -40,10 +40,10 @@ func (m *Matcher) matchJobReference(j *records.JobRecord, method Method) []*reco
 	return finalizeSet(j, method, set)
 }
 
-// runReference is Run built on the reference matcher — the naive
-// end-to-end path the benchmarks compare the indexed pipeline against.
+// runReference is the single-worker pass built on the reference matcher —
+// the naive end-to-end path the benchmarks compare the indexed pipeline
+// against.
 func (m *Matcher) runReference(jobs []*records.JobRecord, method Method) *Result {
-	m.store.Freeze()
 	agg := newAggregator(m, method)
 	for i, j := range jobs {
 		if evs := m.matchJobReference(j, method); len(evs) > 0 {

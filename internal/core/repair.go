@@ -105,11 +105,11 @@ type Uplift struct {
 // on both stores.
 func MeasureUplift(store *metastore.Store, grid *topology.Grid, jobs []*records.JobRecord, method Method) (Uplift, RepairStats) {
 	m := NewMatcher(store)
-	rm2 := m.Run(jobs, RM2)
+	rm2 := m.RunParallel(jobs, RM2, 1)
 	repairedStore, st := RepairStore(store, grid, rm2)
 
-	before := m.Run(jobs, method)
-	after := NewMatcher(repairedStore).Run(jobs, method)
+	before := m.RunParallel(jobs, method, 1)
+	after := NewMatcher(repairedStore).RunParallel(jobs, method, 1)
 	return Uplift{
 		Method:       method,
 		Before:       before,

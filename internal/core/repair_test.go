@@ -22,10 +22,10 @@ func TestRepairStoreFixesKnownCase(t *testing.T) {
 
 	jobs := s.store.Jobs(0, 1<<62, records.LabelUser)
 	m := NewMatcher(s.store)
-	if got := m.Run(jobs, Exact); got.MatchedJobs != 0 {
+	if got := m.RunParallel(jobs, Exact, 1); got.MatchedJobs != 0 {
 		t.Fatal("scenario should not exact-match before repair")
 	}
-	rm2 := m.Run(jobs, RM2)
+	rm2 := m.RunParallel(jobs, RM2, 1)
 	repaired, st := RepairStore(s.store, grid, rm2)
 	if st.LabelsRepaired != 2 || st.BySiteCondition != 2 {
 		t.Fatalf("repair stats = %+v", st)
@@ -35,7 +35,7 @@ func TestRepairStoreFixesKnownCase(t *testing.T) {
 		t.Fatal("RepairStore mutated the original event")
 	}
 	// After repair the job exact-matches.
-	after := NewMatcher(repaired).Run(jobs, Exact)
+	after := NewMatcher(repaired).RunParallel(jobs, Exact, 1)
 	if after.MatchedJobs != 1 || after.MatchedTransfers != 2 {
 		t.Fatalf("post-repair exact: jobs=%d transfers=%d", after.MatchedJobs, after.MatchedTransfers)
 	}
@@ -56,7 +56,7 @@ func TestRepairStoreNoOpFastPath(t *testing.T) {
 	cfg.Corruption = corruption.Config{Disable: true}
 	res := sim.Run(cfg)
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-	rm2 := NewMatcher(res.Store).Run(jobs, RM2)
+	rm2 := NewMatcher(res.Store).RunParallel(jobs, RM2, 1)
 
 	before := res.Store.StoreCommitment()
 	repaired, st := RepairStore(res.Store, res.Grid, rm2)
@@ -102,7 +102,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
 	m := NewMatcher(res.Store)
 	for _, method := range []Method{Exact, RM1, RM2} {
-		serial := m.Run(jobs, method)
+		serial := m.RunParallel(jobs, method, 1)
 		for _, workers := range []int{0, 1, 2, 7} {
 			par := m.RunParallel(jobs, method, workers)
 			if par.MatchedJobs != serial.MatchedJobs ||

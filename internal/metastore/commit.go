@@ -22,7 +22,8 @@ import (
 // committed row count (segment.go, commitRows). Because rows and their
 // global sequences are identical for any shard count and segment size, the
 // XOR aggregate plus counts (StoreCommitment) is layout-independent:
-// equal streams commit equally no matter how the store is partitioned.
+// equal streams commit equally no matter how the store is partitioned or
+// segmented.
 //
 // Audits re-hash rows and compare against the committed hashes: a mutated
 // row surfaces as a row-tamper violation at its exact position, a
@@ -125,7 +126,8 @@ func hashEventRow(ev *records.TransferEvent, seq uint32) uint64 {
 	return uint64(d)
 }
 
-// ArenaKind names one of the two committed arenas of a shard.
+// ArenaKind names one of the two committed kinds of row, each with its own
+// time index.
 type ArenaKind string
 
 // The committed arenas. File rows have no time index and no seal cycle,
@@ -136,18 +138,17 @@ const (
 	ArenaEvents ArenaKind = "events"
 )
 
-// SegmentRef identifies one sealed segment: shard index, arena, and the
-// segment's position in the shard's sealed list. Refs are stable while no
-// compaction runs (compaction — part of Freeze — merges all of a shard's
+// SegmentRef identifies one sealed segment: the arena kind and the
+// segment's position in that kind's time index. Refs are stable while no
+// compaction runs (compaction — part of Freeze — merges all of an index's
 // segments into segment 0).
 type SegmentRef struct {
-	Shard   int       `json:"shard"`
 	Arena   ArenaKind `json:"arena"`
 	Segment int       `json:"segment"`
 }
 
 func (r SegmentRef) String() string {
-	return fmt.Sprintf("%s[%d].seg%d", r.Arena, r.Shard, r.Segment)
+	return fmt.Sprintf("%s.seg%d", r.Arena, r.Segment)
 }
 
 // ViolationKind classifies a commitment violation.
@@ -180,84 +181,49 @@ type AuditReport struct {
 // Clean reports whether the audit found no violations.
 func (r AuditReport) Clean() bool { return len(r.Violations) == 0 }
 
-func (r *AuditReport) absorb(o AuditReport) {
-	r.Segments += o.Segments
-	r.Rows += o.Rows
-	r.Violations = append(r.Violations, o.Violations...)
-}
-
 // AuditMark is an incremental-audit watermark: how many sealed segments of
-// each shard and arena have been audited so far. The zero value means
-// "nothing audited". Marks are positional, so they are invalidated by
-// compaction (Freeze); the online verify loop audits between seals, before
-// the final freeze, which is exactly when segments only accumulate.
+// each time index have been audited so far. The zero value means "nothing
+// audited". Marks are positional, so they are invalidated by compaction
+// (Freeze); the online verify loop audits between seals, before the final
+// freeze, which is exactly when segments only accumulate.
 type AuditMark struct {
-	jobs   []int
-	events []int
+	jobs, events int
 }
 
-func (m *AuditMark) at(n int) {
-	for len(m.jobs) < n {
-		m.jobs = append(m.jobs, 0)
-	}
-	for len(m.events) < n {
-		m.events = append(m.events, 0)
-	}
-}
-
-// auditRun checks one sealed run against its commitment: length against
-// the committed count, then every committed row's hash.
-func auditRun[T any](seg *segRun[T], hash func(*T, uint32) uint64, ref SegmentRef, rep *AuditReport) {
-	rep.Segments++
-	if len(seg.rows) < seg.committed {
-		rep.Violations = append(rep.Violations, Violation{
-			Ref: ref, Row: len(seg.rows), Kind: Truncation,
-			Detail: fmt.Sprintf("segment holds %d of %d committed rows", len(seg.rows), seg.committed),
-		})
-	}
-	n := len(seg.rows)
-	if n > len(seg.hashes) {
-		n = len(seg.hashes)
-	}
-	for i := 0; i < n; i++ {
-		rep.Rows++
-		if hash(seg.rows[i], seg.seqs[i]) != seg.hashes[i] {
+// audit checks the sealed segments from the k-th on against their
+// commitments and returns the number of sealed segments, the index's next
+// mark. Each segment's length is checked against its committed count (the
+// O(1) rollback check), then every committed row — only those in the
+// [from, to) window unless all is set — is re-hashed against its
+// seal-time hash.
+func (x *segIndex[T]) audit(k int, kind ArenaKind, from, to simtime.VTime, all bool, rep *AuditReport) int {
+	x.waitCommits()
+	for ; k < len(x.sealed); k++ {
+		seg, ref := x.sealed[k], SegmentRef{Arena: kind, Segment: k}
+		rep.Segments++
+		if len(seg.rows) < seg.committed {
 			rep.Violations = append(rep.Violations, Violation{
-				Ref: ref, Row: i, Kind: RowTamper,
-				Detail: fmt.Sprintf("row %d fails its committed hash", i),
+				Ref: ref, Row: len(seg.rows), Kind: Truncation,
+				Detail: fmt.Sprintf("segment holds %d of %d committed rows", len(seg.rows), seg.committed),
 			})
 		}
-	}
-}
-
-// auditWindowRun is auditRun bounded to the [from, to) time window of one
-// sealed run — the per-query check: re-hash only the rows a ranged read
-// returns. The length-vs-committed rollback check is unconditional (it is
-// O(1)).
-func auditWindowRun[T any](seg *segRun[T], hash func(*T, uint32) uint64, at func(*T) simtime.VTime,
-	from, to simtime.VTime, ref SegmentRef, rep *AuditReport) {
-	rep.Segments++
-	if len(seg.rows) < seg.committed {
-		rep.Violations = append(rep.Violations, Violation{
-			Ref: ref, Row: len(seg.rows), Kind: Truncation,
-			Detail: fmt.Sprintf("segment holds %d of %d committed rows", len(seg.rows), seg.committed),
-		})
-	}
-	n := len(seg.rows)
-	if n > len(seg.hashes) {
-		n = len(seg.hashes)
-	}
-	lo := sort.Search(n, func(i int) bool { return at(seg.rows[i]) >= from })
-	hi := sort.Search(n, func(i int) bool { return at(seg.rows[i]) >= to })
-	for i := lo; i < hi; i++ {
-		rep.Rows++
-		if hash(seg.rows[i], seg.seqs[i]) != seg.hashes[i] {
-			rep.Violations = append(rep.Violations, Violation{
-				Ref: ref, Row: i, Kind: RowTamper,
-				Detail: fmt.Sprintf("row %d fails its committed hash", i),
-			})
+		n := min(len(seg.rows), len(seg.hashes))
+		lo, hi := 0, n
+		if !all {
+			lo = sort.Search(n, func(i int) bool { return x.at(seg.rows[i]) >= from })
+			hi = sort.Search(n, func(i int) bool { return x.at(seg.rows[i]) >= to })
+		}
+		for i := lo; i < hi; i++ {
+			rep.Rows++
+			if x.hash(seg.rows[i], seg.seqs[i]) != seg.hashes[i] {
+				rep.Violations = append(rep.Violations, Violation{
+					Ref: ref, Row: i, Kind: RowTamper,
+					Detail: fmt.Sprintf("row %d fails its committed hash", i),
+				})
+			}
 		}
 	}
+	return len(x.sealed)
 }
 
 // AuditSealed re-verifies every sealed segment of both arenas against its
@@ -279,26 +245,9 @@ func (s *Store) AuditSealed() AuditReport {
 // not survive compaction; use AuditSealed after a Freeze.
 func (s *Store) AuditSealedSince(mark AuditMark) (AuditReport, AuditMark) {
 	t0 := time.Now()
-	mark.at(len(s.shards))
-	reports := make([]AuditReport, len(s.shards))
-	for i, sh := range s.shards {
-		sh.jobSegs.waitCommits()
-		sh.evSegs.waitCommits()
-		for k := mark.jobs[i]; k < len(sh.jobSegs.sealed); k++ {
-			auditRun(sh.jobSegs.sealed[k], hashJobRow,
-				SegmentRef{Shard: i, Arena: ArenaJobs, Segment: k}, &reports[i])
-		}
-		mark.jobs[i] = len(sh.jobSegs.sealed)
-		for k := mark.events[i]; k < len(sh.evSegs.sealed); k++ {
-			auditRun(sh.evSegs.sealed[k], hashEventRow,
-				SegmentRef{Shard: i, Arena: ArenaEvents, Segment: k}, &reports[i])
-		}
-		mark.events[i] = len(sh.evSegs.sealed)
-	}
 	var rep AuditReport
-	for _, r := range reports {
-		rep.absorb(r)
-	}
+	mark.jobs = s.jobIdx.audit(mark.jobs, ArenaJobs, 0, 0, true, &rep)
+	mark.events = s.evIdx.audit(mark.events, ArenaEvents, 0, 0, true, &rep)
 	s.noteAudit(&rep, t0)
 	return rep, mark
 }
@@ -310,13 +259,7 @@ func (s *Store) AuditSealedSince(mark AuditMark) (AuditReport, AuditMark) {
 func (s *Store) AuditJobsWindow(from, to simtime.VTime) AuditReport {
 	t0 := time.Now()
 	var rep AuditReport
-	for i, sh := range s.shards {
-		sh.jobSegs.waitCommits()
-		for k, seg := range sh.jobSegs.sealed {
-			auditWindowRun(seg, hashJobRow, jobEnd, from, to,
-				SegmentRef{Shard: i, Arena: ArenaJobs, Segment: k}, &rep)
-		}
-	}
+	s.jobIdx.audit(0, ArenaJobs, from, to, false, &rep)
 	s.noteAudit(&rep, t0)
 	return rep
 }
@@ -326,13 +269,7 @@ func (s *Store) AuditJobsWindow(from, to simtime.VTime) AuditReport {
 func (s *Store) AuditTransfersWindow(from, to simtime.VTime) AuditReport {
 	t0 := time.Now()
 	var rep AuditReport
-	for i, sh := range s.shards {
-		sh.evSegs.waitCommits()
-		for k, seg := range sh.evSegs.sealed {
-			auditWindowRun(seg, hashEventRow, evStart, from, to,
-				SegmentRef{Shard: i, Arena: ArenaEvents, Segment: k}, &rep)
-		}
-	}
+	s.evIdx.audit(0, ArenaEvents, from, to, false, &rep)
 	s.noteAudit(&rep, t0)
 	return rep
 }
@@ -368,50 +305,43 @@ func (c Commitment) Digest() string {
 // ingest prefix.
 func (s *Store) StoreCommitment() Commitment {
 	var c Commitment
-	for _, sh := range s.shards {
-		sh.jobSegs.waitCommits()
-		sh.evSegs.waitCommits()
-		for _, seg := range sh.jobSegs.sealed {
-			c.JobAgg ^= seg.agg
-			c.JobRows += seg.committed
-		}
-		for _, seg := range sh.evSegs.sealed {
-			c.EventAgg ^= seg.agg
-			c.EventRows += seg.committed
-		}
-		for i := sh.jobSegs.start; i < sh.jobs.len(); i++ {
-			c.JobAgg ^= hashJobRow(sh.jobs.at(i), sh.jobSeq[i])
-			c.JobRows++
-		}
-		for i := sh.evSegs.start; i < sh.events.len(); i++ {
-			c.EventAgg ^= hashEventRow(sh.events.at(i), sh.evSeq[i])
-			c.EventRows++
-		}
-	}
+	c.JobRows, c.JobAgg = s.jobIdx.commitment()
+	c.EventRows, c.EventAgg = s.evIdx.commitment()
 	return c
 }
 
-// SealedEventSegments iterates the sealed event segments in (shard,
-// segment) order, handing each segment's rows to fn. The rows are arena
-// pointers: mutating them through the pointers models at-rest tamper of
-// committed data — the sanctioned fault-injection seam of internal/verify.
-// Synchronizes with in-flight background sorts first.
+// commitment is one index's share of StoreCommitment: the committed counts
+// and aggregates of its sealed segments, plus the tail rows hashed on the
+// fly.
+func (x *segIndex[T]) commitment() (rows int, agg uint64) {
+	x.waitCommits()
+	for _, seg := range x.sealed {
+		agg ^= seg.agg
+		rows += seg.committed
+	}
+	for i, p := range x.rows {
+		agg ^= x.hash(p, x.seqs[i])
+	}
+	return rows + len(x.rows), agg
+}
+
+// SealedEventSegments iterates the sealed event segments in order, handing
+// each segment's rows to fn. The rows are arena pointers: mutating them
+// through the pointers models at-rest tamper of committed data — the
+// sanctioned fault-injection seam of internal/verify. Synchronizes with
+// in-flight background sorts first.
 func (s *Store) SealedEventSegments(fn func(ref SegmentRef, rows []*records.TransferEvent)) {
-	for i, sh := range s.shards {
-		sh.evSegs.waitCommits()
-		for k, seg := range sh.evSegs.sealed {
-			fn(SegmentRef{Shard: i, Arena: ArenaEvents, Segment: k}, seg.rows)
-		}
+	s.evIdx.waitCommits()
+	for k, seg := range s.evIdx.sealed {
+		fn(SegmentRef{Arena: ArenaEvents, Segment: k}, seg.rows)
 	}
 }
 
 // SealedJobSegments is SealedEventSegments for the jobs arena.
 func (s *Store) SealedJobSegments(fn func(ref SegmentRef, rows []*records.JobRecord)) {
-	for i, sh := range s.shards {
-		sh.jobSegs.waitCommits()
-		for k, seg := range sh.jobSegs.sealed {
-			fn(SegmentRef{Shard: i, Arena: ArenaJobs, Segment: k}, seg.rows)
-		}
+	s.jobIdx.waitCommits()
+	for k, seg := range s.jobIdx.sealed {
+		fn(SegmentRef{Arena: ArenaJobs, Segment: k}, seg.rows)
 	}
 }
 
@@ -421,39 +351,28 @@ func (s *Store) SealedJobSegments(fn func(ref SegmentRef, rows []*records.JobRec
 // is deliberately left untouched) exposes the rollback. Returns the number
 // of rows actually dropped (0 when the ref does not resolve). A
 // fault-injection seam for internal/verify and the tests; never called by
-// the store itself.
-//
-// The store-level time indices still hold the dropped rows, so the next
-// Freeze rebuilds them from every sealed run rather than merging only the
-// runs sealed since the last one: ranged reads of a frozen store serve
-// the dropped rows until further ingest and a Freeze rebuild them without.
+// the store itself. The sealed segments are the time index, so ranged
+// reads drop the rows at once.
 func (s *Store) TruncateSealed(ref SegmentRef, drop int) int {
-	if ref.Shard < 0 || ref.Shard >= len(s.shards) || drop <= 0 {
+	if drop <= 0 {
 		return 0
 	}
-	sh := s.shards[ref.Shard]
-	n := 0
 	switch ref.Arena {
 	case ArenaJobs:
-		n = truncateRun(&sh.jobSegs, ref.Segment, drop)
+		return s.jobIdx.truncate(ref.Segment, drop)
 	case ArenaEvents:
-		n = truncateRun(&sh.evSegs, ref.Segment, drop)
+		return s.evIdx.truncate(ref.Segment, drop)
 	}
-	if n > 0 {
-		s.rebuild = true
-	}
-	return n
+	return 0
 }
 
-func truncateRun[T any](x *segIndex[T], seg, drop int) int {
+func (x *segIndex[T]) truncate(seg, drop int) int {
 	x.waitCommits()
 	if seg < 0 || seg >= len(x.sealed) {
 		return 0
 	}
 	r := x.sealed[seg]
-	if drop > len(r.rows) {
-		drop = len(r.rows)
-	}
+	drop = min(drop, len(r.rows))
 	n := len(r.rows) - drop
 	r.rows = r.rows[:n]
 	r.seqs = r.seqs[:n]

@@ -66,8 +66,11 @@ func eventIDs(evs []*records.TransferEvent) []int64 {
 }
 
 // hammer issues the full query surface from workers goroutines, each
-// iters times, comparing every result against the serial baseline.
-func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iters int) {
+// iters times, comparing every result against the serial baseline. With
+// freeze set, every reader also calls Freeze on every iteration: on a
+// frozen store that must write nothing, so it may run beside the other
+// readers.
+func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iters int, freeze bool) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
@@ -77,6 +80,9 @@ func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iter
 			defer wg.Done()
 			m := core.NewMatcher(s)
 			for it := 0; it < iters; it++ {
+				if freeze {
+					s.Freeze()
+				}
 				if got := storetest.JobValues(s.Jobs(0, 20, "")); !reflect.DeepEqual(got, base.jobs) {
 					errs <- "Jobs diverged from serial baseline"
 					return
@@ -128,14 +134,15 @@ func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iter
 // TestConcurrentFrozenReads is the read-only concurrency regression test
 // the serving layer depends on: N goroutines issue Jobs, Transfers,
 // MatchJob, JoinEntriesForJob, TaskTransfersByKey, and TransfersByTaskID
-// against one frozen store, and every result must be identical to the
-// serial baseline. Run under -race in CI.
+// against one frozen store, each calling Freeze beside the others, and
+// every result must be identical to the serial baseline. Run under -race
+// in CI.
 func TestConcurrentFrozenReads(t *testing.T) {
 	stream := storetest.Make(42, 4000)
 	s := metastore.NewShardedSegmented(8, 64)
 	stream.Ingest(s)
 	s.Freeze()
-	hammer(t, s, snapshot(s), 8, 3)
+	hammer(t, s, snapshot(s), 8, 3, true)
 }
 
 // TestConcurrentLiveReads is the same hammer on an un-frozen store mid
@@ -149,13 +156,13 @@ func TestConcurrentLiveReads(t *testing.T) {
 	s := metastore.NewShardedSegmented(4, 64)
 	stream.IngestPrefix(s, (stream.Len()*2)/3)
 	base := snapshot(s)
-	hammer(t, s, base, 8, 2)
+	hammer(t, s, base, 8, 2, false)
 
 	// Advance the ingest frontier (invalidating the tail caches), then
 	// hammer again at the new cut: the baseline must move with the data.
 	stream.IngestRange(s, (stream.Len()*2)/3, stream.Len())
 	base2 := snapshot(s)
-	hammer(t, s, base2, 8, 2)
+	hammer(t, s, base2, 8, 2, false)
 	if reflect.DeepEqual(base.all, base2.all) {
 		t.Fatal("second cut ingested no new events; test is vacuous")
 	}

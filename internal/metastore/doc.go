@@ -24,35 +24,40 @@
 // never bind, so JoinEntriesForJob reads only the smaller bound map, on a
 // live store and a frozen one alike, and FilesForJob reads whichever map
 // holds the group. The sorted time order behind the ranged queries Jobs
-// and Transfers is an epoch/segment structure per shard
-// (NewShardedSegmented sizes it): rows
-// land in a mutable tail whose sorted view is cached lazily; when the tail
-// reaches the segment-row threshold — or on an explicit Seal() — it
-// becomes an immutable, binary-searchable sealed segment (sorted in the
-// background while ingestion continues) and a fresh tail begins.
+// and Transfers is one segmented index per kind of row — jobs by EndTime,
+// transfers by StartedAt — kept by the store across every shard's arena
+// (NewShardedSegmented sizes its segments): rows land in a mutable tail,
+// row pointers and global put sequences in put order, whose sorted view
+// is cached lazily; when the tail reaches the segment-row threshold — or
+// on an explicit Seal() — it is handed to an immutable, binary-searchable
+// sealed segment (sorted in the background while ingestion continues) and
+// a fresh tail begins.
 //
 // Mid-run query visibility: every query surface answers at any point
 // during ingestion, with no Freeze required, over exactly the records put
-// so far. Ranged queries merge the sealed segments' windows plus the tail
-// by (time, ingestion sequence), so their results are byte-identical to
-// the frozen store's for the same ingested prefix — for any shard count
-// crossed with any segment size (pinned by the cut-point equivalence tests
-// and FuzzSegmentMerge). Freeze is the checkpoint finalizer: it seals the
-// tails, compacts each shard to one run, and merges only the runs sealed
-// since the previous Freeze into the store-level indices, so its cost
-// follows the rows ingested since then (FuzzRefreeze pins repeated
-// freezes against the stream oracle). Every merge — live windows,
-// compaction, Freeze — is one kernel: runs merge pairwise, smallest
-// first, each placing the shorter run's rows in the longer one by
-// galloping search. Queries return pointers into the arenas; callers must
-// not mutate results.
+// so far. Jobs and Transfers have one code path, live or frozen: the
+// sealed segments' windows plus the tail's, merged by (time, ingestion
+// sequence), so their results are byte-identical for the same ingested
+// prefix at any cut — for any shard count crossed with any segment size
+// (pinned by the cut-point equivalence tests and FuzzSegmentMerge).
+// Freeze is the checkpoint finalizer: it seals both tails and compacts
+// each index to one run, so on a frozen store a ranged query is one
+// binary-searched run returned as is (FuzzRefreeze pins repeated freezes
+// against the stream oracle). Every merge — query windows and compaction
+// — is one kernel: runs merge pairwise, smallest first, each placing the
+// shorter run's rows in the longer one by galloping search. Queries
+// return pointers into the arenas; callers must not mutate results.
 //
-// Concurrency invariant: the store is safe for concurrent readers only
-// after Freeze (the matcher's parallel pipeline relies on this). Live
-// queries are single-threaded with ingestion — they maintain per-shard
-// caches — but may interleave with it freely, and background segment
+// Concurrency invariant: ingestion is single-threaded, and queries never
+// overlap it (the serving layer's epoch lock and the ingest pipe's drain
+// before every checkpoint enforce this), but they may interleave with it
+// freely. Between puts, any number of readers may query concurrently,
+// live or frozen: the only state a query writes is a time index's cached
+// tail view, published through an atomic pointer, and background segment
 // sorts overlap ingestion safely (readers synchronize on the seal before
-// touching sealed runs). Reset empties a store for reuse — arena
+// touching sealed runs). Readers of a frozen store may also call Freeze:
+// on a settled store it returns at once and writes nothing (pinned under
+// -race by TestConcurrentFrozenReads). Reset empties a store for reuse — arena
 // high-water marks rewind keeping their chunks, index maps keep capacity,
 // and the intern table clears so a reused store cannot leak one scenario's
 // strings into the next (the sweep engine gives each worker one store

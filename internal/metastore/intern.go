@@ -10,8 +10,8 @@ package metastore
 // fresh allocations).
 //
 // The table is store-global, written only on the single-threaded ingest
-// path, and read-only during Freeze and queries — per-shard freeze
-// goroutines may look up symbols concurrently without locking.
+// path, and read-only during queries — concurrent readers may look up
+// symbols without locking.
 type internTable struct {
 	ids  map[string]uint32
 	strs []string

@@ -1,9 +1,7 @@
 package metastore
 
 import (
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"panrucio/internal/records"
@@ -45,21 +43,24 @@ const DefaultShards = 8
 // the matcher's probes (JoinEntriesForJob, TaskTransfersByKey) route to
 // exactly one shard.
 //
-// Each shard's time-sorted view is segmented: rows land in a mutable tail
-// whose indices are maintained incrementally, and tails seal into
-// immutable sorted segments at SegmentRows (or on Seal). Every query —
-// Jobs, Transfers, the matcher probes — answers at any point mid-run:
-// the ranged ones by merging sealed segments and tails in (time,
-// ingestion-seq) order, the matcher probes from join entries bound at
-// ingest. Freeze seals and compacts the tails and merges the runs sealed
-// since the previous Freeze into the store-level indices the frozen fast
-// path serves from, leaving results byte-identical to the live path for
-// any shard count and segment size.
+// The time order of each arena kind is one store-wide segmented index:
+// rows land in a mutable tail, and the tail seals into an immutable sorted
+// segment at SegmentRows (or on Seal). Every query — Jobs, Transfers, the
+// matcher probes — answers at any point mid-run: the ranged ones by
+// merging the sealed segments and the tail in (time, ingestion-seq)
+// order, the matcher probes from join entries bound at ingest. Freeze
+// seals the tails and compacts each index to one run, leaving results
+// byte-identical for any shard count and segment size.
 type Store struct {
 	shards  []*shard
 	strings *internTable
 	segRows int
 	seq     uint32 // global put sequence (jobs + transfers)
+
+	// The time indices: jobs by EndTime, transfers by StartedAt, ties in
+	// global put order.
+	jobIdx segIndex[records.JobRecord]
+	evIdx  segIndex[records.TransferEvent]
 
 	// jobsByID stays store-global: duplicate pandaids may hash to
 	// different shards, and the index must keep exact last-put-wins
@@ -74,41 +75,28 @@ type Store struct {
 	// (a plain increment per put) and flushed to the process-wide metrics
 	// whenever a tail seals, on Seal, Freeze and Reset. Batching keeps the
 	// put hot loops free of atomic read-modify-writes; a scrape lags the
-	// puts by at most one segment's worth of rows per shard.
+	// puts by at most one segment's worth of rows.
 	pendJobs      int64
 	pendFiles     int64
 	pendTransfers int64
 
-	// Merged sorted time indices, built by Freeze from the per-shard runs.
-	// jobsByEnd is ordered by EndTime, evByStart by StartedAt (ties keep
-	// global ingestion order); jobSeqs and evSeqs are their rows' global
-	// sequences, which break time ties when the next Freeze merges newly
-	// sealed runs in.
-	jobsByEnd []*records.JobRecord
-	jobSeqs   []uint32
-	evByStart []*records.TransferEvent
-	evSeqs    []uint32
-
-	// rebuild makes the next Freeze merge every sealed run from scratch
-	// instead of only the runs sealed since the previous Freeze. Set by
-	// TruncateSealed: the indices still hold the rows it dropped.
-	rebuild bool
-
-	frozen   atomic.Bool
 	freezeMu sync.Mutex
 }
+
+func jobEnd(j *records.JobRecord) simtime.VTime       { return j.EndTime }
+func evStart(ev *records.TransferEvent) simtime.VTime { return ev.StartedAt }
 
 // New returns an empty store with DefaultShards shards.
 func New() *Store { return NewSharded(DefaultShards) }
 
 // NewSharded returns an empty store with n shards (n < 1 selects
 // DefaultShards) and the default segment size. Every query result is
-// byte-identical for any n; the knob trades per-shard freeze/reset
-// parallelism and matcher locality against fixed per-shard overhead.
+// byte-identical for any n; the knob trades per-shard reset parallelism
+// and matcher locality against fixed per-shard overhead.
 func NewSharded(n int) *Store { return NewShardedSegmented(n, 0) }
 
 // NewShardedSegmented is NewSharded with an explicit seal threshold: each
-// shard's mutable tail seals into an immutable sorted segment once it
+// time index's mutable tail seals into an immutable sorted segment once it
 // holds segRows rows (< 1 selects DefaultSegmentRows). Like the shard
 // count, the segment size is purely a performance knob — results are
 // byte-identical for any value.
@@ -122,12 +110,14 @@ func NewShardedSegmented(n, segRows int) *Store {
 	s := &Store{
 		strings:        newInternTable(),
 		segRows:        segRows,
+		jobIdx:         segIndex[records.JobRecord]{at: jobEnd, hash: hashJobRow, limit: segRows},
+		evIdx:          segIndex[records.TransferEvent]{at: evStart, hash: hashEventRow, limit: segRows},
 		jobsByID:       make(map[int64]*records.JobRecord),
 		taskByActivity: make(map[records.Activity]int),
 	}
 	s.shards = make([]*shard, n)
 	for i := range s.shards {
-		s.shards[i] = newShard(segRows)
+		s.shards[i] = newShard()
 	}
 	return s
 }
@@ -138,16 +128,10 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 // SegmentRows reports the seal threshold the store was built with.
 func (s *Store) SegmentRows() int { return s.segRows }
 
-// SealedSegments reports the total number of sealed segments across all
-// shards and both time indices — observability for the segment lifecycle
-// (tail → seal → compact) the mid-run tests pin.
-func (s *Store) SealedSegments() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.jobSegs.segments() + sh.evSegs.segments()
-	}
-	return n
-}
+// SealedSegments reports the number of sealed segments across both time
+// indices — observability for the segment lifecycle (tail → seal →
+// compact) the mid-run tests pin.
+func (s *Store) SealedSegments() int { return len(s.jobIdx.sealed) + len(s.evIdx.sealed) }
 
 // shardFor returns the index of the shard owning a JEDI task: every row
 // and every per-task index of the task lives there.
@@ -179,13 +163,12 @@ func (s *Store) nextSeq() uint32 {
 func (s *Store) PutJob(j *records.JobRecord) {
 	cp := *j
 	cp.ComputingSite = s.strings.canon(cp.ComputingSite)
-	p, sealed := s.shards[s.shardFor(cp.JediTaskID)].putJob(cp, s.nextSeq())
+	p := s.shards[s.shardFor(cp.JediTaskID)].jobs.put(cp)
 	s.jobsByID[cp.PandaID] = p
 	s.pendJobs++
-	if sealed {
+	if s.jobIdx.add(p, s.nextSeq()) {
 		s.flushIngestCounters()
 	}
-	s.frozen.Store(false)
 }
 
 // PutFile ingests a JEDI file-table row, interning its join attributes,
@@ -207,7 +190,6 @@ func (s *Store) PutFile(f *records.FileRecord) {
 	cp.ProdDBlock = s.strings.strs[key.prodDBlock]
 	s.shards[s.shardFor(cp.JediTaskID)].putFile(cp, key)
 	s.pendFiles++
-	s.frozen.Store(false)
 }
 
 // PutTransfer ingests a transfer event, interning its join attributes and
@@ -243,103 +225,68 @@ func (s *Store) PutTransfer(ev *records.TransferEvent) {
 		sh = s.shards[int(seq)%len(s.shards)]
 	}
 	s.pendTransfers++
-	if sh.putTransfer(cp, key, seq) {
+	if s.evIdx.add(sh.putTransfer(cp, key), seq) {
 		s.flushIngestCounters()
 	}
-	s.frozen.Store(false)
 }
 
-// Freeze finalizes the store for the frozen fast path: every shard seals
-// its tails and compacts its sealed segments into one run per arena —
-// concurrently, one goroutine per shard — then only the runs sealed since
-// the previous Freeze are merged into the store-level indices by (time,
-// ingestion sequence), byte-identical to a single-store stable sort.
-// Sealed segments stay sorted and the join entries are bound at ingest,
-// so a Freeze costs the sort of the new tail plus a merge probed in
-// proportion to the new rows; the copies into fresh index arrays are its
-// only work over all rows. Freeze is idempotent and safe to call from
-// concurrent readers; it is not a precondition for any query — an
-// unfrozen store answers the same queries live from sealed+tail — but
-// calling it eagerly (as sim.Run does) keeps the steady-state query path
-// lock- and allocation-free.
+// Freeze finalizes the store: it seals both tails and compacts each time
+// index to one run, so ranged queries read one binary-searched run and the
+// steady-state query path merges nothing. Sealed segments are already
+// sorted (in the background, as they sealed) and the join entries are
+// bound at ingest, so a Freeze costs the sort of the tails plus one merge
+// that copies each row once. Freeze is idempotent and safe to call from
+// concurrent readers: on a settled store — empty tails, at most one run
+// per index — it returns at once and writes nothing. It is not a
+// precondition for any query — an unfrozen store answers the same
+// queries live from sealed segments plus tail.
 func (s *Store) Freeze() {
-	if s.frozen.Load() {
-		return
-	}
 	s.freezeMu.Lock()
 	defer s.freezeMu.Unlock()
-	if s.frozen.Load() {
-		return
-	}
-	// Captured before the seals below: how many rows had accumulated
-	// unsorted since the previous checkpoint.
-	mTailRows.Set(int64(s.TailRows()))
 	s.flushIngestCounters()
 	t0 := time.Now()
-	all := s.rebuild
-	jobRuns := make([][]segRun[records.JobRecord], len(s.shards))
-	evRuns := make([][]segRun[records.TransferEvent], len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jobRuns[i], evRuns[i] = sh.freeze(all)
-		}()
+	// Captured before the seals below: how many rows had accumulated
+	// unsorted since the previous checkpoint.
+	tail := s.TailRows()
+	jobs, events := s.jobIdx.seal(), s.evIdx.seal()
+	jobs = s.jobIdx.compact() || jobs
+	events = s.evIdx.compact() || events
+	if !jobs && !events {
+		return
 	}
-	wg.Wait()
-
-	// The previous indices are one more sorted run, unless a rebuild drops
-	// them. Results handed out earlier alias the previous arrays, which the
-	// merge only reads: any real merge builds fresh ones.
-	jobs := []segRun[records.JobRecord]{{rows: s.jobsByEnd, seqs: s.jobSeqs}}
-	evs := []segRun[records.TransferEvent]{{rows: s.evByStart, seqs: s.evSeqs}}
-	if all {
-		jobs, evs = jobs[:0], evs[:0]
-	}
-	for i := range s.shards {
-		jobs = append(jobs, jobRuns[i]...)
-		evs = append(evs, evRuns[i]...)
-	}
-	j, e := mergeRuns(jobs, jobEnd), mergeRuns(evs, evStart)
-	s.jobsByEnd, s.jobSeqs = j.rows, j.seqs
-	s.evByStart, s.evSeqs = e.rows, e.seqs
-	s.rebuild = false
-	s.frozen.Store(true)
+	mTailRows.Set(int64(tail))
 	mFreezes.Inc()
 	mFreezeSeconds.ObserveSince(t0)
 }
 
-// TailRows reports the rows currently sitting in mutable (unsealed) tails
-// across all shards and both arenas. Zero on a frozen store.
-func (s *Store) TailRows() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.jobs.len() - sh.jobSegs.start + sh.events.len() - sh.evSegs.start
-	}
-	return n
-}
+// TailRows reports the rows currently sitting in the mutable (unsealed)
+// tails of both time indices. Zero on a frozen store.
+func (s *Store) TailRows() int { return len(s.jobIdx.rows) + len(s.evIdx.rows) }
 
 // flushIngestCounters publishes the batched put counters to the
 // process-wide registry. It runs on the single-writer ingest path — when a
 // put seals a tail, and on Seal, Freeze and Reset — so the pending fields
-// are stable and the flush stays off the per-row path.
+// are stable and the flush stays off the per-row path. With nothing
+// pending it writes nothing, so a Freeze on a settled store stays
+// read-only beside concurrent readers.
 func (s *Store) flushIngestCounters() {
+	if s.pendJobs == 0 && s.pendFiles == 0 && s.pendTransfers == 0 {
+		return
+	}
 	mJobsIngested.Add(s.pendJobs)
 	mFilesIngested.Add(s.pendFiles)
 	mTransfersIngested.Add(s.pendTransfers)
 	s.pendJobs, s.pendFiles, s.pendTransfers = 0, 0, 0
 }
 
-// Seal closes every shard's mutable tail into an immutable sorted segment
-// without freezing: sorting happens in the background while ingestion
-// continues into the fresh tails, and queries keep answering live over
-// sealed+tail. A long-running ingester can call this at checkpoints to
-// bound the tail-sort cost of mid-run queries; Freeze subsumes it.
+// Seal closes both mutable tails into immutable sorted segments without
+// compacting: sorting happens in the background while ingestion continues
+// into the fresh tails, and queries keep answering live over sealed+tail.
+// A long-running ingester can call this at checkpoints to bound the
+// tail-sort cost of mid-run queries; Freeze subsumes it.
 func (s *Store) Seal() {
-	for _, sh := range s.shards {
-		sh.seal()
-	}
+	s.jobIdx.seal()
+	s.evIdx.seal()
 	s.flushIngestCounters()
 }
 
@@ -349,9 +296,9 @@ func (s *Store) Seal() {
 // reset concurrently. The intern table's contents are cleared too — symbols
 // restart at zero and the previous scenario's strings are released, so a
 // reused worker store cannot leak strings across sweep scenarios. After
-// Reset the store is unfrozen and indistinguishable from New()'s result —
-// except that any records, query results, or join entries previously
-// obtained from it are invalidated and must not be used.
+// Reset the store is indistinguishable from New()'s result — except that
+// any records, query results, or join entries previously obtained from it
+// are invalidated and must not be used.
 //
 // Reset must not run concurrently with ingestion or queries; the sweep
 // engine guarantees this by giving each worker goroutine its own store.
@@ -360,6 +307,8 @@ func (s *Store) Reset() {
 	defer s.freezeMu.Unlock()
 	s.flushIngestCounters()
 	mTailRows.Set(0) // the tails are about to be dropped
+	s.jobIdx.reset()
+	s.evIdx.reset()
 	var wg sync.WaitGroup
 	for _, sh := range s.shards {
 		wg.Add(1)
@@ -374,13 +323,6 @@ func (s *Store) Reset() {
 	s.seq = 0
 	s.withTaskID = 0
 	clear(s.taskByActivity)
-	// Every Freeze merges into fresh index arrays (ranged queries alias
-	// them), so there is no capacity worth keeping — drop the references
-	// and let the old arrays go.
-	s.jobsByEnd, s.jobSeqs = nil, nil
-	s.evByStart, s.evSeqs = nil, nil
-	s.rebuild = false
-	s.frozen.Store(false)
 }
 
 // pandaTask identifies one job's file-row group: JEDI file rows carry both
@@ -467,19 +409,13 @@ func (s *Store) TaskTransfersByActivity() map[records.Activity]int {
 // ("" = any), ordered by pandaid ascending; rows sharing a pandaid (the
 // at-least-once duplicates) keep their (EndTime, ingestion) order. This
 // mirrors the paper's query semantics: only jobs completed inside the
-// window are reported. On a frozen store the window is resolved by binary
-// search over the merged EndTime index; on a live store it is merged on
-// the fly from every shard's sealed segments and tail. Both paths yield
-// the same (EndTime, ingestion)-ordered window and order it by pandaid
-// with the same stable kernel, so the result is identical either way.
-// The result is a fresh slice (nil when nothing matches).
+// window are reported. The (EndTime, ingestion)-ordered window comes from
+// the jobs time index — the sealed segments' windows plus the tail's,
+// merged; one binary-searched run on a frozen store — and is ordered by
+// pandaid with the package's stable kernel. The result is a fresh slice
+// (nil when nothing matches).
 func (s *Store) Jobs(from, to simtime.VTime, label records.SourceLabel) []*records.JobRecord {
-	var seg []*records.JobRecord
-	if s.frozen.Load() {
-		seg = timeRange(s.jobsByEnd, from, to, jobEnd)
-	} else {
-		seg = s.liveJobWindow(from, to)
-	}
+	seg := s.jobIdx.window(from, to, false)
 	// Pointer-free buffers: window positions and pandaids of the matches.
 	pos := make([]int32, 0, len(seg))
 	ids := make([]int64, 0, len(seg))
@@ -497,27 +433,6 @@ func (s *Store) Jobs(from, to simtime.VTime, label records.SourceLabel) []*recor
 		out[i] = seg[pos[k]]
 	}
 	return out
-}
-
-// liveJobWindow merges the [from, to) EndTime window across every shard's
-// sealed segments and tail, ordered by (EndTime, ingestion seq).
-func (s *Store) liveJobWindow(from, to simtime.VTime) []*records.JobRecord {
-	var runs []segRun[records.JobRecord]
-	for _, sh := range s.shards {
-		sh.jobSegs.windows(&sh.jobs, sh.jobSeq, from, to, false, &runs)
-	}
-	return mergeRuns(runs, jobEnd).rows
-}
-
-// timeRange cuts the half-open [from, to) window out of a slice sorted by
-// the time key that at extracts.
-func timeRange[T any](sorted []T, from, to simtime.VTime, at func(T) simtime.VTime) []T {
-	lo := sort.Search(len(sorted), func(i int) bool { return at(sorted[i]) >= from })
-	hi := sort.Search(len(sorted), func(i int) bool { return at(sorted[i]) >= to })
-	if hi < lo {
-		hi = lo
-	}
-	return sorted[lo:hi]
 }
 
 // Job resolves a pandaid (the latest ingested row for duplicate ids).
@@ -574,21 +489,9 @@ func (s *Store) TaskTransfersByKey(jedi int64, key JoinKey) []*records.TransferE
 
 // Transfers returns events with StartedAt in [from, to); from==to==0 means
 // everything. Events are ordered by StartedAt (ties in global ingestion
-// order). On a frozen store the window is resolved by binary search over
-// the merged StartedAt index and the returned slice aliases it; on a live
-// store the window is merged on the fly from sealed segments and tails.
-// Either way callers must not modify the result.
+// order), read off the transfers time index the way Jobs reads the jobs
+// one. On a frozen store the result aliases the index; callers must not
+// modify it.
 func (s *Store) Transfers(from, to simtime.VTime) []*records.TransferEvent {
-	if s.frozen.Load() {
-		if from == 0 && to == 0 {
-			return s.evByStart
-		}
-		return timeRange(s.evByStart, from, to, evStart)
-	}
-	var runs []segRun[records.TransferEvent]
-	all := from == 0 && to == 0
-	for _, sh := range s.shards {
-		sh.evSegs.windows(&sh.events, sh.evSeq, from, to, all, &runs)
-	}
-	return mergeRuns(runs, evStart).rows
+	return s.evIdx.window(from, to, from == 0 && to == 0)
 }

@@ -11,10 +11,10 @@ import "panrucio/internal/obs"
 // them whenever a put seals a tail, and on Seal, Freeze and Reset (see
 // flushIngestCounters), so the put hot loops carry no atomic
 // read-modify-writes at all. A scrape between flushes lags the puts by at
-// most one segment's worth of rows per shard. The tail gauge is set at
-// Freeze (before its seals) and Reset. Seal/merge/freeze metrics update
-// at reorganization time, where one atomic op amortizes over thousands of
-// rows. The overhead benchmark (bench/BENCH_obs.json) pins the total
+// most one segment's worth of rows per time index. The tail gauge is set
+// by a reorganizing Freeze (before its seals) and by Reset.
+// Seal/merge/freeze metrics update at reorganization time, where one
+// atomic op amortizes over thousands of rows. The overhead benchmark (bench/BENCH_obs.json) pins the total
 // ingest-path cost.
 var (
 	mJobsIngested = obs.Default().Counter("metastore_jobs_ingested_total",
@@ -24,7 +24,7 @@ var (
 	mTransfersIngested = obs.Default().Counter("metastore_transfers_ingested_total",
 		"transfer events ingested across all stores (flushed at seal and freeze)")
 	mTailRows = obs.Default().Gauge("metastore_tail_rows",
-		"unsealed tail rows pending at the last freeze (pre-seal capture)")
+		"unsealed tail rows pending at the last reorganizing freeze (pre-seal capture)")
 	mSeals = obs.Default().Counter("metastore_seals_total",
 		"tail seals (immutable sorted segments created)")
 	mSealRows = obs.Default().Histogram("metastore_seal_rows",
@@ -32,9 +32,9 @@ var (
 	mSealSortSeconds = obs.Default().Histogram("metastore_seal_sort_seconds",
 		"background (time, seq) sort latency of one sealed segment", obs.DefBuckets)
 	mMergeWidth = obs.Default().Histogram("metastore_merge_width",
-		"non-empty sorted runs per merge (live windows, compaction, freeze)", obs.SizeBuckets)
+		"non-empty sorted runs per merge (query windows, compaction)", obs.SizeBuckets)
 	mFreezes = obs.Default().Counter("metastore_freezes_total",
-		"store freezes that did reorganization work (idempotent fast-path hits excluded)")
+		"store freezes that did reorganization work (freezes of a settled store excluded)")
 	mFreezeSeconds = obs.Default().Histogram("metastore_freeze_seconds",
 		"wall time of one reorganizing freeze", obs.DefBuckets)
 	mCommitRows = obs.Default().Counter("metastore_commit_rows_total",

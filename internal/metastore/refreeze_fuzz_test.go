@@ -15,16 +15,16 @@ import (
 var refreezeWindows = [][2]simtime.VTime{{0, 5}, {1, 3}, {2, 3}, {4, 9}}
 
 // FuzzRefreeze fuzzes repeated freezes mid-stream: each Freeze after the
-// first merges only the runs sealed since the previous one into the
-// store-level indices, and join entries are bound at put time — file rows
-// whose key has no event yet wait unbound for it. After every Freeze and
+// first seals both tails and compacts each time index to one run again,
+// and join entries are bound at put time — file rows whose key has no
+// event yet wait unbound for it. After every Freeze and
 // at the end (live, then frozen once more), Jobs and Transfers must equal
 // the stream oracle's stable sorts (the oracle FuzzSegmentMerge uses) and
 // every matcher-facing probe must equal the oracle's join entries.
 //
 // Input layout: data[0] → segment rows (1..8), data[1] → shard count
 // (1..8), missing bytes reading as 0; then one op per byte: 0xFF seals
-// every shard's tail, 0xFE freezes, any other value b puts a row chosen
+// both tails, 0xFE freezes, any other value b puts a row chosen
 // by b%3 — a job, a file row, or a transfer — with v = b/3 drawing its
 // fields from tiny pools so ties and shared keys are the rule: time v%5,
 // task v%3 (0 is task-less), pandaid v%4, LFN f(v%7%3), and a label

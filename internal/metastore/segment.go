@@ -9,12 +9,13 @@ import (
 	"panrucio/internal/simtime"
 )
 
-// DefaultSegmentRows is the tail-size threshold at which a shard seals its
-// mutable tail into an immutable sorted segment. Fixed rather than derived
-// from the ingest volume so a store's segment layout is reproducible for a
-// given put stream; query results are byte-identical for any value (see the
-// cut-point equivalence tests), so this is purely a performance default
-// trading seal frequency against per-query tail-sort cost.
+// DefaultSegmentRows is the tail-size threshold at which a time index
+// seals its mutable tail into an immutable sorted segment. Fixed rather
+// than derived from the ingest volume so a store's segment layout is
+// reproducible for a given put stream; query results are byte-identical
+// for any value (see the cut-point equivalence tests), so this is purely a
+// performance default trading seal frequency against per-query tail-sort
+// cost.
 const DefaultSegmentRows = 1 << 15
 
 // segRun is one (time, ingestion-sequence) sorted run: the contents of a
@@ -39,8 +40,8 @@ type segRun[T any] struct {
 // commitRows computes the run's integrity commitment from its current
 // contents: the per-row hashes in (time, seq) order, the chain head, the
 // XOR aggregate, and the committed row count. Runs in the seal's
-// background goroutine after sortByTime, so the ingest path never pays
-// for hashing.
+// background goroutine after the sort, so the ingest path never pays for
+// hashing.
 func (r *segRun[T]) commitRows(hash func(*T, uint32) uint64) {
 	r.hashes = make([]uint64, len(r.rows))
 	agg, chain := uint64(0), chainSeed()
@@ -64,43 +65,40 @@ func (r *segRun[T]) window(from, to simtime.VTime, at func(*T) simtime.VTime) se
 	return segRun[T]{rows: r.rows[lo:hi], seqs: r.seqs[lo:hi]}
 }
 
-// sortByTime orders the run by its time key in place, with the package's
-// stable radix kernel (stableOrder) over the extracted times. Rows enter
-// in ingestion (sequence) order, so stability makes the result ordered by
-// (time, seq) without comparing sequences. Every seal and every tail view
-// sorts here.
-func (r *segRun[T]) sortByTime(at func(*T) simtime.VTime) {
-	n := len(r.rows)
-	times := make([]int64, n)
-	for i, p := range r.rows {
+// sortedRun returns rows and their seqs ordered by time in fresh arrays,
+// with the package's stable radix kernel (stableOrder) over the extracted
+// times. Rows come in put (sequence) order, so stability makes the result
+// ordered by (time, seq) without comparing sequences. Every seal and every
+// tail view sorts here.
+func sortedRun[T any](rows []*T, seqs []uint32, at func(*T) simtime.VTime) segRun[T] {
+	times := make([]int64, len(rows))
+	for i, p := range rows {
 		times[i] = int64(at(p))
 	}
-	perm := stableOrder(times)
-	rows := make([]*T, n)
-	seqs := make([]uint32, n)
-	for i, p := range perm {
-		rows[i] = r.rows[p]
-		seqs[i] = r.seqs[p]
+	out := segRun[T]{rows: make([]*T, len(rows)), seqs: make([]uint32, len(rows))}
+	for i, k := range stableOrder(times) {
+		out.rows[i], out.seqs[i] = rows[k], seqs[k]
 	}
-	copy(r.rows, rows)
-	copy(r.seqs, seqs)
+	return out
 }
 
-// segIndex is the segmented (time, seq) index over one arena: an ordered
-// list of immutable sealed segments (each a sorted run over a contiguous
-// slab of arena rows) plus a mutable tail — the rows ingested since the
-// last seal, whose sorted view is built lazily and cached until the next
-// append invalidates it.
+// segIndex is the store's segmented (time, seq) index over one kind of
+// row — jobs by EndTime or transfers by StartedAt — across every shard's
+// arena: an ordered list of immutable sealed segments plus a mutable tail,
+// the rows put since the last seal as row pointers and global put
+// sequences in put order. The tail's sorted view is built lazily and
+// cached until the next add invalidates it.
 //
-// The single-writer ingest contract of the store extends here: noteAppend,
-// seal, and reset run only on the ingest path. Sealing is the one
-// concurrent step — the segment's rows are captured synchronously, then
-// sorted by a background goroutine so ingestion continues while the sort
-// runs; every reader synchronizes through wait() before touching sealed
-// runs. Readers may run concurrently with each other at any time (the
-// serving layer batches them into windows where no ingest is in flight):
-// the lazily built tail view is published through an atomic pointer, so
-// racing readers at worst build the same immutable view twice.
+// The single-writer ingest contract of the store extends here: add, seal,
+// compact and reset run only on the ingest path or under the store's
+// freezeMu. Sealing is the one concurrent step — the tail is handed to a
+// new segment synchronously, then sorted and committed by a background
+// goroutine so ingestion continues meanwhile; every reader synchronizes
+// through wait() before touching sealed runs. Readers may run concurrently
+// with each other at any time (the serving layer batches them into windows
+// where no ingest is in flight): the lazily built tail view is published
+// through an atomic pointer, so racing readers at worst build the same
+// immutable view twice.
 type segIndex[T any] struct {
 	at    func(*T) simtime.VTime
 	limit int // seal threshold in rows
@@ -110,16 +108,15 @@ type segIndex[T any] struct {
 	hash func(*T, uint32) uint64
 
 	sealed []*segRun[T]
-	start  int // first arena row of the tail
 
-	// compacted counts the leading sealed runs produced by the previous
-	// compact (0 or 1): every run after them was sealed since then, and
-	// only those are new to the store-level indices.
-	compacted int
+	// The tail: rows put since the last seal and their global sequences,
+	// in put order. A seal hands both slices to the new segment.
+	rows []*T
+	seqs []uint32
 
-	// tail caches the sorted view of rows [start, arena.len()); cleared
-	// after an append or a seal. Atomic so concurrent readers can share
-	// (or independently rebuild) the view without serializing on a lock.
+	// tail caches the sorted view of the tail; cleared by an add or a
+	// seal. Atomic so concurrent readers can share (or independently
+	// rebuild) the view without serializing on a lock.
 	tail atomic.Pointer[segRun[T]]
 
 	// sealing publishes the background sort; committing additionally
@@ -130,45 +127,32 @@ type segIndex[T any] struct {
 	committing sync.WaitGroup
 }
 
-// noteAppend records that one row was appended to the arena, invalidating
-// the cached tail view and sealing the tail once it reaches the limit; it
-// reports whether it sealed. Only readers build tail views, and under the
-// single-writer contract above no reader overlaps ingest (the serving
-// layer's epoch lock admits readers only between ingest windows), so a nil
-// Load here cannot race a reader's Store and the common case skips the
-// atomic store.
-func (x *segIndex[T]) noteAppend(a *arena[T], seqs []uint32) bool {
+// add appends one row to the tail, invalidating the cached tail view and
+// sealing the tail once it reaches the limit; it reports whether it
+// sealed. Only readers build tail views, and under the single-writer
+// contract above no reader overlaps ingest (the serving layer's epoch lock
+// admits readers only between ingest windows), so a nil Load here cannot
+// race a reader's Store and the common case skips the atomic store.
+func (x *segIndex[T]) add(p *T, seq uint32) bool {
 	if x.tail.Load() != nil {
 		x.tail.Store(nil)
 	}
-	if a.len()-x.start < x.limit {
-		return false
-	}
-	x.seal(a, seqs)
-	return true
+	x.rows = append(x.rows, p)
+	x.seqs = append(x.seqs, seq)
+	return len(x.rows) >= x.limit && x.seal()
 }
 
-// seal compacts the current tail into an immutable sealed segment and
-// starts a fresh (empty) tail. The segment's rows and sequences are
-// captured synchronously — arena slots already written never move or
-// change, so the capture is a plain copy — and the (time, seq) sort runs
-// in a background goroutine, overlapping subsequent ingestion. An empty
-// tail seals to nothing.
-func (x *segIndex[T]) seal(a *arena[T], seqs []uint32) {
-	n := a.len()
-	if n == x.start {
-		return
+// seal hands the tail to a new immutable segment and starts a fresh
+// (empty) tail; it reports whether it sealed — an empty tail seals to
+// nothing and writes nothing. The (time, seq) sort and the commitment run
+// in a background goroutine, overlapping subsequent ingestion.
+func (x *segIndex[T]) seal() bool {
+	if len(x.rows) == 0 {
+		return false
 	}
-	seg := &segRun[T]{
-		rows: make([]*T, n-x.start),
-		seqs: make([]uint32, n-x.start),
-	}
-	for i := range seg.rows {
-		seg.rows[i] = a.at(x.start + i)
-	}
-	copy(seg.seqs, seqs[x.start:n])
+	seg := &segRun[T]{rows: x.rows, seqs: x.seqs}
+	x.rows, x.seqs = nil, nil
 	x.sealed = append(x.sealed, seg)
-	x.start = n
 	x.tail.Store(nil)
 	mSeals.Inc()
 	mSealRows.Observe(float64(len(seg.rows)))
@@ -177,7 +161,7 @@ func (x *segIndex[T]) seal(a *arena[T], seqs []uint32) {
 	go func() {
 		defer x.committing.Done()
 		t0 := time.Now()
-		seg.sortByTime(x.at)
+		*seg = sortedRun(seg.rows, seg.seqs, x.at)
 		mSealSortSeconds.ObserveSince(t0)
 		// Publish the sort before hashing: queries block only on the sorted
 		// order, not on the commitment computed over it.
@@ -190,6 +174,7 @@ func (x *segIndex[T]) seal(a *arena[T], seqs []uint32) {
 		mCommitRows.Add(int64(seg.committed))
 		mCommitSeconds.ObserveSince(tc)
 	}()
+	return true
 }
 
 // wait blocks until every in-flight segment sort has finished. Readers of
@@ -204,60 +189,52 @@ func (x *segIndex[T]) wait() { x.sealing.Wait() }
 func (x *segIndex[T]) waitCommits() { x.committing.Wait() }
 
 // tailRun returns the sorted view of the tail, rebuilding it only when an
-// append has invalidated the cache. The view owns fresh arrays, so runs
+// add has invalidated the cache. The view owns fresh arrays, so runs
 // handed to callers survive later rebuilds untouched. Concurrent readers
 // may each build the view when the cache is cold — the builds are
 // identical and the last Store wins, so no locking is needed and readers
 // never serialize on each other.
-func (x *segIndex[T]) tailRun(a *arena[T], seqs []uint32) *segRun[T] {
+func (x *segIndex[T]) tailRun() *segRun[T] {
 	if t := x.tail.Load(); t != nil {
 		return t
 	}
-	n := a.len()
-	t := &segRun[T]{
-		rows: make([]*T, n-x.start),
-		seqs: make([]uint32, n-x.start),
-	}
-	for i := range t.rows {
-		t.rows[i] = a.at(x.start + i)
-	}
-	copy(t.seqs, seqs[x.start:n])
-	t.sortByTime(x.at)
-	x.tail.Store(t)
-	return t
+	t := sortedRun(x.rows, x.seqs, x.at)
+	x.tail.Store(&t)
+	return &t
 }
 
-// windows appends the sorted run views overlapping [from, to) — every
-// sealed segment's window plus the tail's — to runs, for the store-level
-// (time, seq) merge. all selects the full runs without windowing. The
-// views carry rows and seqs only: the commitment fields of a sealed run
-// may still be written by its seal goroutine — wait() publishes the sort,
-// not the hashes.
-func (x *segIndex[T]) windows(a *arena[T], seqs []uint32, from, to simtime.VTime, all bool, runs *[]segRun[T]) {
+// window returns the rows with time in [from, to) — every row when all is
+// set — in (time, seq) order: the windows of the sealed segments plus the
+// tail's, merged by the one kernel. On a frozen store that is one
+// binary-searched run, returned as is, so the result may alias the index
+// and callers must not modify it. The runs carry rows and seqs only: the
+// commitment fields of a sealed run may still be written by its seal
+// goroutine — wait() publishes the sort, not the hashes.
+func (x *segIndex[T]) window(from, to simtime.VTime, all bool) []*T {
 	x.wait()
+	runs := make([]segRun[T], 0, len(x.sealed)+1)
 	for _, seg := range x.sealed {
-		r := segRun[T]{rows: seg.rows, seqs: seg.seqs}
-		if !all {
-			r = r.window(from, to, x.at)
+		runs = append(runs, segRun[T]{rows: seg.rows, seqs: seg.seqs})
+	}
+	if len(x.rows) > 0 {
+		t := x.tailRun()
+		runs = append(runs, segRun[T]{rows: t.rows, seqs: t.seqs})
+	}
+	if !all {
+		for i := range runs {
+			runs[i] = runs[i].window(from, to, x.at)
 		}
-		*runs = append(*runs, r)
 	}
-	t := x.tailRun(a, seqs)
-	if all {
-		*runs = append(*runs, segRun[T]{rows: t.rows, seqs: t.seqs})
-	} else {
-		*runs = append(*runs, t.window(from, to, x.at))
-	}
+	return mergeRuns(runs, x.at).rows
 }
 
-// compact merges all sealed segments into one — the shard-local LSM step
-// run at Freeze, so live windows and audits see one run per shard — and
-// returns views (rows and seqs) of the runs sealed since the previous
-// compact: the rows the store-level indices do not hold yet. all returns
-// every sealed run instead, for a rebuild from scratch. The merged run is
-// built in fresh arrays; the old segment runs are dropped but never
-// mutated, so the returned views and query results that alias them stay
-// intact.
+// compact merges the sealed segments into one run — Freeze's step after
+// the seal, so queries and audits read one binary-searched run — and
+// reports whether it did. An index holding at most one run is left as it
+// is: compact then writes nothing, which is what lets readers of a frozen
+// store call Freeze beside each other. The merged run is built in fresh
+// arrays; the old segment runs are dropped but never mutated, so query
+// results that alias them stay intact.
 //
 // Commitments are CARRIED through the merge, never recomputed: each
 // surviving row keeps its seal-time hash (the merge kernel moves hashes
@@ -268,56 +245,43 @@ func (x *segIndex[T]) windows(a *arena[T], seqs []uint32, from, to simtime.VTime
 // mismatch planted before compaction is still detected after it
 // (including truncation, which survives as a committed-count excess over
 // the merged length).
-func (x *segIndex[T]) compact(all bool) []segRun[T] {
+func (x *segIndex[T]) compact() bool {
 	x.waitCommits()
-	from := x.compacted
-	if all {
-		from = 0
+	if len(x.sealed) <= 1 {
+		return false
 	}
-	fresh := make([]segRun[T], 0, len(x.sealed)-from)
-	for _, seg := range x.sealed[from:] {
-		fresh = append(fresh, segRun[T]{rows: seg.rows, seqs: seg.seqs})
+	runs := make([]segRun[T], len(x.sealed))
+	for i, seg := range x.sealed {
+		runs[i] = *seg
 	}
-	if len(x.sealed) > 1 {
-		runs := make([]segRun[T], len(x.sealed))
-		for i, seg := range x.sealed {
-			runs[i] = *seg
-		}
-		merged := mergeRuns(runs, x.at)
-		merged.agg, merged.committed = 0, 0
-		for _, seg := range x.sealed {
-			merged.agg ^= seg.agg
-			merged.committed += seg.committed
-		}
-		merged.chain = chainSeed()
-		for _, h := range merged.hashes {
-			merged.chain = chainMix(merged.chain, h)
-		}
-		x.sealed = []*segRun[T]{&merged}
+	merged := mergeRuns(runs, x.at)
+	merged.agg, merged.committed = 0, 0
+	for _, seg := range x.sealed {
+		merged.agg ^= seg.agg
+		merged.committed += seg.committed
 	}
-	x.compacted = len(x.sealed)
-	return fresh
+	merged.chain = chainSeed()
+	for _, h := range merged.hashes {
+		merged.chain = chainMix(merged.chain, h)
+	}
+	x.sealed = []*segRun[T]{&merged}
+	return true
 }
-
-// segments reports the number of sealed segments (observability for the
-// lifecycle tests).
-func (x *segIndex[T]) segments() int { return len(x.sealed) }
 
 // reset rewinds the index for store reuse, waiting out any in-flight
 // segment sort first so a background sorter can never race the arena
-// clear that follows.
+// clear that follows. The tail keeps its capacity.
 func (x *segIndex[T]) reset() {
 	x.waitCommits()
 	x.sealed = nil
-	x.start = 0
-	x.compacted = 0
+	x.rows, x.seqs = x.rows[:0], x.seqs[:0]
 	x.tail.Store(nil)
 }
 
 // mergeRuns merges (time, seq)-sorted runs into one run in (time, global
 // sequence) order — byte-identical to stable-sorting the full ingest
 // stream by time, for any segmentation and shard count. It is the
-// package's one merge: live windows, compaction and Freeze all use it.
+// package's one merge: every ranged query and every compaction use it.
 // Runs merge pairwise, smallest first, so each row is copied about
 // log(k) times at most and a large run absorbing a few small ones is
 // copied once. Seqs travel with their rows; hashes do too when every run

@@ -25,7 +25,7 @@ var fuzzPandaIDs = []int64{6_400_000_017, 6_400_000_001, 6_399_999_990, 6_400_00
 // stable-sorted by pandaid.
 //
 // Input layout: data[0] → segment rows (1..8), data[1] → shard count
-// (1..8), then one step per byte: 0xFF seals every shard's tail, any
+// (1..8), then one step per byte: 0xFF seals both tails, any
 // other value b ingests a transfer with StartedAt = b%23 (tiny time pool →
 // heavy ties, so the seq tiebreak is always load-bearing) and then a job
 // with EndTime = b%23, a pandaid drawn from fuzzPandaIDs by b/23, and a

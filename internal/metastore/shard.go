@@ -1,35 +1,19 @@
 package metastore
 
-import (
-	"panrucio/internal/records"
-	"panrucio/internal/simtime"
-)
+import "panrucio/internal/records"
 
 // shard is one horizontal partition of the store. Jobs and JEDI file rows
 // are routed here by jeditaskid hash; transfer events carrying a jeditaskid
 // follow their task, task-less (background) events are spread round-robin.
 // Matching is task-local, so every per-task index is shard-complete: the
 // matcher's JoinEntriesForJob/TaskTransfersByKey probes touch exactly one
-// shard. The hash indices and the join-entry bindings are maintained
-// incrementally at ingest; the time-sorted view of each arena is a
-// segIndex — immutable sealed segments plus a mutable tail — so the
-// time-ranged queries can answer at any point mid-run by merging
-// sealed+tail runs, and Freeze only sorts the current tail instead of
-// re-sorting history.
+// shard. A shard owns only its arenas and its per-task hash maps, both
+// maintained incrementally at ingest; the time order of the rows is the
+// store's (Store.jobIdx, Store.evIdx).
 type shard struct {
 	jobs   arena[records.JobRecord]
 	files  arena[records.FileRecord]
 	events arena[records.TransferEvent]
-
-	// Global put sequence per arena row. Rows within a shard are already in
-	// global ingestion order; the sequences order rows across shards and
-	// segments when sorted runs are merged (time ties keep ingestion order).
-	jobSeq []uint32
-	evSeq  []uint32
-
-	// Segmented (time, seq) indices over the jobs and events arenas.
-	jobSegs segIndex[records.JobRecord]
-	evSegs  segIndex[records.TransferEvent]
 
 	evByTask map[int64][]*records.TransferEvent
 
@@ -56,30 +40,14 @@ type shard struct {
 	parked map[int64][]uint32
 }
 
-func jobEnd(j *records.JobRecord) simtime.VTime       { return j.EndTime }
-func evStart(ev *records.TransferEvent) simtime.VTime { return ev.StartedAt }
-
-func newShard(segRows int) *shard {
-	sh := &shard{
+func newShard() *shard {
+	return &shard{
 		evByTask:    make(map[int64][]*records.TransferEvent),
 		evByTaskKey: make(map[taskSymKey]*[]*records.TransferEvent),
 		bound:       make(map[pandaTask][]JoinEntry),
 		unbound:     make(map[pandaTask][]JoinEntry),
 		parked:      make(map[int64][]uint32),
 	}
-	sh.jobSegs.at, sh.jobSegs.limit = jobEnd, segRows
-	sh.evSegs.at, sh.evSegs.limit = evStart, segRows
-	sh.jobSegs.hash = hashJobRow
-	sh.evSegs.hash = hashEventRow
-	return sh
-}
-
-// putJob ingests one job row (already canonicalized by the store) and
-// reports whether the put sealed the jobs tail.
-func (sh *shard) putJob(j records.JobRecord, seq uint32) (*records.JobRecord, bool) {
-	p := sh.jobs.put(j)
-	sh.jobSeq = append(sh.jobSeq, seq)
-	return p, sh.jobSegs.noteAppend(&sh.jobs, sh.jobSeq)
 }
 
 // putFile ingests one file row (already canonicalized by the store); key
@@ -110,12 +78,10 @@ func (sh *shard) putFile(f records.FileRecord, key symKey) {
 }
 
 // putTransfer ingests one event row (already canonicalized by the store);
-// key is the event's interned join key. It reports whether the put sealed
-// the events tail.
-func (sh *shard) putTransfer(ev records.TransferEvent, key symKey, seq uint32) bool {
+// key is the event's interned join key. It returns the row's arena
+// address.
+func (sh *shard) putTransfer(ev records.TransferEvent, key symKey) *records.TransferEvent {
 	p := sh.events.put(ev)
-	sh.evSeq = append(sh.evSeq, seq)
-	sealed := sh.evSegs.noteAppend(&sh.events, sh.evSeq)
 	if ev.JediTaskID != 0 {
 		sh.evByTask[ev.JediTaskID] = append(sh.evByTask[ev.JediTaskID], p)
 		tk := taskSymKey{ev.JediTaskID, key}
@@ -127,7 +93,7 @@ func (sh *shard) putTransfer(ev records.TransferEvent, key symKey, seq uint32) b
 		}
 		*b = append(*b, p)
 	}
-	return sealed
+	return p
 }
 
 // bind points the parked entries of ev's task that share ev's join key at
@@ -171,34 +137,14 @@ func (sh *shard) group(pt pandaTask) []JoinEntry {
 	return sh.unbound[pt]
 }
 
-// seal closes both tails into sealed segments (sorting in the background);
-// ingestion may continue into the fresh tails immediately.
-func (sh *shard) seal() {
-	sh.jobSegs.seal(&sh.jobs, sh.jobSeq)
-	sh.evSegs.seal(&sh.events, sh.evSeq)
-}
-
-// freeze seals the tails and compacts each time index to one run,
-// returning the runs sealed since the previous freeze (every run when all
-// is set) for the store-level merge. Shards freeze concurrently: each
-// touches only its own arenas and indices.
-func (sh *shard) freeze(all bool) ([]segRun[records.JobRecord], []segRun[records.TransferEvent]) {
-	sh.seal()
-	return sh.jobSegs.compact(all), sh.evSegs.compact(all)
-}
-
 // reset rewinds the shard for reuse, keeping arena chunks and map capacity.
-// Segment indices reset first: reset waits out any in-flight background
-// sort, so a sorter can never race the arena clear.
+// The store resets its time indices first, waiting out any in-flight
+// background sort, so a sorter can never race the arena clear.
 func (sh *shard) reset() {
-	sh.jobSegs.reset()
-	sh.evSegs.reset()
 	sh.jobs.reset()
 	sh.files.reset()
 	sh.events.reset()
 	sh.buckets.reset()
-	sh.jobSeq = sh.jobSeq[:0]
-	sh.evSeq = sh.evSeq[:0]
 	clear(sh.evByTask)
 	clear(sh.evByTaskKey)
 	clear(sh.bound)

@@ -435,8 +435,9 @@ const maxVerifyViolations = 32
 // virtual time with ?from/?to. Never cached: re-running the verification
 // on every request is the point of the endpoint (a cached "clean" would
 // not cover tamper that happened after the cache fill). Like
-// /api/meta/layout, the body is layout-dependent (segment refs name
-// physical shards), but the clean/violation verdict and the commitment
+// /api/meta/layout, the body is layout-dependent (segment refs are
+// positions in a time index, which follow the segment size and the
+// checkpoint history), but the clean/violation verdict and the commitment
 // digest are layout-independent.
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()

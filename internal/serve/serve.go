@@ -153,14 +153,12 @@ func newServer(cfg sim.Config, opt Options) *Server {
 // ingestion never overlaps a read. Pending readers are woken by the
 // Unlock and drain before the Lock re-acquires.
 //
-// The store is frozen before the window opens — an incremental freeze:
-// it sorts the tails ingested since the last checkpoint and merges only
-// those newly sealed runs into the store's time indices (join entries are
-// already bound at ingest), so its cost follows the rows since the last
-// checkpoint. Freezing here, on the ingest thread, is what makes the
-// window read-only in the strong sense: handlers that reach a
-// freeze-on-entry path (the parallel matcher) hit the idempotent fast
-// path instead of reorganizing the store under concurrent readers.
+// The store is frozen before the window opens: the freeze seals the tails
+// ingested since the last checkpoint and compacts each time index to one
+// run (join entries are already bound at ingest), so every reader of the
+// window queries one binary-searched run and merges nothing. Freezing
+// here, on the ingest thread, is what makes a published store merge-free;
+// a Freeze a reader calls on it returns at once and writes nothing.
 func (s *Server) publish(res *sim.Result, final bool) {
 	res.Store.Freeze()
 	epoch := s.epoch.Add(1)

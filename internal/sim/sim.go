@@ -78,8 +78,8 @@ type Config struct {
 	// byte-identical for any value.
 	Shards int
 
-	// SegmentRows selects the metastore's per-shard segment-seal threshold
-	// (0 picks metastore.DefaultSegmentRows). Like Shards, purely a
+	// SegmentRows selects the metastore's segment-seal threshold per time
+	// index (0 picks metastore.DefaultSegmentRows). Like Shards, purely a
 	// performance knob: outputs are byte-identical for any value.
 	SegmentRows int
 }
@@ -246,9 +246,9 @@ func runReusing(cfg Config, store *metastore.Store, every simtime.VTime, obs Obs
 	}
 
 	eng.Run()
-	// Ingestion is complete once the pipe drains: build the sorted time
-	// indices now so the analyses (and the matcher's parallel workers)
-	// start from a frozen, read-only store.
+	// Ingestion is complete once the pipe drains: compact the time indices
+	// now so the analyses start from a frozen store, whose ranged queries
+	// read one binary-searched run and merge nothing.
 	pipe.drain()
 	store.Freeze()
 	wall := time.Since(start)

@@ -31,9 +31,9 @@ type Options struct {
 	// picks metastore.DefaultShards). Purely a performance knob: the
 	// report is byte-identical for any value.
 	Shards int
-	// SegmentRows selects the per-shard segment-seal threshold of each
-	// worker's metastore (<= 0 picks metastore.DefaultSegmentRows). Like
-	// Shards, the report is byte-identical for any value.
+	// SegmentRows selects the segment-seal threshold per time index of
+	// each worker's metastore (<= 0 picks metastore.DefaultSegmentRows).
+	// Like Shards, the report is byte-identical for any value.
 	SegmentRows int
 	// Trace, when non-nil, receives one checkpoint event per TraceEvery of
 	// virtual time per scenario (named by scenario id) plus one span per

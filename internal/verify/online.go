@@ -139,7 +139,7 @@ func RunOnline(cfg sim.Config, opt OnlineOptions) *OnlineReport {
 
 	// Close the loop: RM2-match the window's user jobs, scan, repair.
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-	rm2 := core.NewMatcher(res.Store).Run(jobs, core.RM2)
+	rm2 := core.NewMatcher(res.Store).RunParallel(jobs, core.RM2, 1)
 	rep.Findings += len(anomaly.NewScanner(res.Grid).Scan(rm2).Findings)
 	_, st := core.RepairStore(res.Store, res.Grid, rm2)
 	rep.Repair = st
