@@ -251,6 +251,10 @@ func (s *Store) Freeze() {
 	jobs, events := s.jobIdx.seal(), s.evIdx.seal()
 	jobs = s.jobIdx.compact() || jobs
 	events = s.evIdx.compact() || events
+	// Every seal's sort has finished (compact waits for them), so no spare
+	// tail arrays arrive after these drops.
+	s.jobIdx.dropSpare()
+	s.evIdx.dropSpare()
 	if !jobs && !events {
 		return
 	}

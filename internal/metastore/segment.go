@@ -114,6 +114,13 @@ type segIndex[T any] struct {
 	rows []*T
 	seqs []uint32
 
+	// spare holds the backing arrays of a sealed tail once its background
+	// sort has copied them out. The first put after a later seal takes
+	// them as the fresh tail, so a steady ingest refills a few pairs of
+	// arrays instead of growing a new tail from nil at every seal. Freeze
+	// and reset drop it, so a settled store keeps no empty tail arrays.
+	spare atomic.Pointer[tailArrays[T]]
+
 	// tail caches the sorted view of the tail; cleared by an add or a
 	// seal. Atomic so concurrent readers can share (or independently
 	// rebuild) the view without serializing on a lock.
@@ -127,6 +134,12 @@ type segIndex[T any] struct {
 	committing sync.WaitGroup
 }
 
+// tailArrays are a tail's backing arrays, handed back by a seal's sort.
+type tailArrays[T any] struct {
+	rows []*T
+	seqs []uint32
+}
+
 // add appends one row to the tail, invalidating the cached tail view and
 // sealing the tail once it reaches the limit; it reports whether it
 // sealed. Only readers build tail views, and under the single-writer
@@ -136,6 +149,13 @@ type segIndex[T any] struct {
 func (x *segIndex[T]) add(p *T, seq uint32) bool {
 	if x.tail.Load() != nil {
 		x.tail.Store(nil)
+	}
+	if x.rows == nil {
+		// A fresh tail refills the arrays a seal's sort handed back, if
+		// any; without them append grows it from nil.
+		if sp := x.spare.Swap(nil); sp != nil {
+			x.rows, x.seqs = sp.rows, sp.seqs
+		}
 	}
 	x.rows = append(x.rows, p)
 	x.seqs = append(x.seqs, seq)
@@ -161,7 +181,9 @@ func (x *segIndex[T]) seal() bool {
 	go func() {
 		defer x.committing.Done()
 		t0 := time.Now()
+		tail := &tailArrays[T]{rows: seg.rows[:0], seqs: seg.seqs[:0]}
 		*seg = sortedRun(seg.rows, seg.seqs, x.at)
+		x.spare.Store(tail) // copied out: the arrays are free to refill
 		mSealSortSeconds.ObserveSince(t0)
 		// Publish the sort before hashing: queries block only on the sorted
 		// order, not on the commitment computed over it.
@@ -270,12 +292,21 @@ func (x *segIndex[T]) compact() bool {
 
 // reset rewinds the index for store reuse, waiting out any in-flight
 // segment sort first so a background sorter can never race the arena
-// clear that follows. The tail keeps its capacity.
+// clear that follows. The tail keeps its capacity; the spare is dropped.
 func (x *segIndex[T]) reset() {
 	x.waitCommits()
 	x.sealed = nil
 	x.rows, x.seqs = x.rows[:0], x.seqs[:0]
 	x.tail.Store(nil)
+	x.dropSpare()
+}
+
+// dropSpare releases the spare tail arrays; holding none, it writes
+// nothing, so a Freeze on a settled store stays read-only.
+func (x *segIndex[T]) dropSpare() {
+	if x.spare.Load() != nil {
+		x.spare.Store(nil)
+	}
 }
 
 // mergeRuns merges (time, seq)-sorted runs into one run in (time, global

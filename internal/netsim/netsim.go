@@ -114,8 +114,11 @@ type link struct {
 	active []*Transfer
 	queue  []*Transfer
 
-	wake *simtime.Event
-	rng  *simtime.RNG
+	// wake is the handle of the link's next service event, and onWake the
+	// callback every wake runs, built once with the link.
+	wake   simtime.Event
+	onWake func()
+	rng    *simtime.RNG
 }
 
 // outage is a scheduled degradation window on every link touching a site.
@@ -170,6 +173,7 @@ func (n *Network) linkFor(src, dst string) *link {
 		l.factor = n.opts.MinFactor
 	}
 	l.lastUpdate = n.eng.Now()
+	l.onWake = func() { n.service(l) }
 	n.links[k] = l
 	return l
 }
@@ -223,13 +227,12 @@ func (n *Network) InjectOutage(site string, from, to simtime.VTime, factor float
 			}
 		}
 	}
+	// Neither edge is in the past, so At cannot fail.
 	if from >= n.eng.Now() {
-		if _, err := n.eng.At(from, "netsim.outage.start", reprice); err != nil {
-			return
-		}
+		_ = n.eng.At(from, reprice)
 	}
 	if to >= n.eng.Now() {
-		_, _ = n.eng.At(to, "netsim.outage.end", reprice)
+		_ = n.eng.At(to, reprice)
 	}
 }
 
@@ -337,7 +340,7 @@ func (n *Network) service(l *link) {
 			n.CompletedBytes += tr.Bytes
 			if tr.done != nil {
 				tr := tr
-				n.eng.After(0, "netsim.done", func() { tr.done(tr) })
+				n.eng.After(0, func() { tr.done(tr) })
 			}
 		default:
 			kept = append(kept, tr)
@@ -362,11 +365,9 @@ func (n *Network) service(l *link) {
 
 	// Schedule the next wake: earliest completion at the current shared
 	// rate, capped at the fluctuation interval so rate changes take effect.
-	if l.wake != nil {
-		l.wake.Cancel()
-		l.wake = nil
-	}
+	// Arming the link's handle supersedes the wake it held.
 	if len(l.active) == 0 {
+		l.wake.Cancel()
 		return
 	}
 	per := n.perRate(l, now, len(l.active))
@@ -383,7 +384,8 @@ func (n *Network) service(l *link) {
 	if eta > n.opts.FluctuationInterval {
 		eta = n.opts.FluctuationInterval
 	}
-	l.wake = n.eng.After(eta, "netsim.wake", func() { n.service(l) })
+	// now+eta is never in the past, so Arm cannot fail.
+	_ = n.eng.Arm(&l.wake, now+eta, l.onWake)
 }
 
 // ActiveTransfers reports how many transfers are currently in flight across

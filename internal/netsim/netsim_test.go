@@ -161,7 +161,7 @@ func TestThroughputVariesAcrossTime(t *testing.T) {
 	var rates []float64
 	for i := 0; i < 24; i++ {
 		at := simtime.VTime(i) * simtime.Hour
-		eng.At(at, "spawn", func() {
+		eng.At(at, func() {
 			net.Start("SIGNET", "NDGF-T1", 8e9, func(tr *Transfer) {
 				rates = append(rates, tr.Throughput())
 			})

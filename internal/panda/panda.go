@@ -103,10 +103,12 @@ type BrokerPolicy interface {
 
 // JobSink receives the job record when its task completes (the paper's
 // query module only reports jobs whose task reached a terminal state inside
-// the window).
+// the window). The record is borrowed for the call: the System refills it
+// for the next put, so a sink copies what it keeps.
 type JobSink func(*records.JobRecord)
 
-// FileSink receives JEDI file-table rows alongside the job record.
+// FileSink receives JEDI file-table rows alongside the job record, each
+// borrowed for the call like JobSink's.
 type FileSink func(*records.FileRecord)
 
 // TaskSpec describes a JEDI task to submit.
@@ -185,6 +187,11 @@ type System struct {
 
 	jobSink  JobSink
 	fileSink FileSink
+
+	// job and file are the records lent to the sinks, refilled for every
+	// put, so emitting a task allocates no record.
+	job  records.JobRecord
+	file records.FileRecord
 
 	// Per-site tables in grid.Sites() order: a site's index here is its
 	// Grid.SiteIndex.
@@ -466,7 +473,7 @@ func (s *System) enqueue(j *Job, rng *simtime.RNG) {
 		s.ruc.PilotFetch(j.Inputs, j.Site, activity, j.Task.JediTaskID, nil)
 	}
 	delay := rng.VExp(s.opts.DispatchDelayMean)
-	s.eng.After(delay, "panda.dispatch", func() {
+	s.eng.After(delay, func() {
 		st := j.site
 		st.backlog = append(st.backlog, j)
 		s.pump(st)
@@ -531,7 +538,7 @@ func (s *System) startPayload(j *Job, jr *simtime.RNG) {
 	if wall < 30 {
 		wall = 30
 	}
-	s.eng.After(wall, "panda.payload", func() { s.finishPayload(j, jr) })
+	s.eng.After(wall, func() { s.finishPayload(j, jr) })
 }
 
 // finishPayload decides the outcome, performs stage-out, and finalizes.
@@ -640,7 +647,7 @@ func (s *System) emitTask(t *Task) {
 			outBytes = j.Output.Size
 		}
 		if s.jobSink != nil {
-			s.jobSink(&records.JobRecord{
+			s.job = records.JobRecord{
 				PandaID:          j.PandaID,
 				JediTaskID:       t.JediTaskID,
 				ComputingSite:    j.Site,
@@ -654,27 +661,29 @@ func (s *System) emitTask(t *Task) {
 				NOutputFileBytes: outBytes,
 				ErrorCode:        j.ErrorCode,
 				ErrorMessage:     j.ErrorMsg,
-			})
+			}
+			s.jobSink(&s.job)
 		}
 		if s.fileSink != nil {
 			for _, f := range j.Inputs {
-				s.fileSink(&records.FileRecord{
-					PandaID: j.PandaID, JediTaskID: t.JediTaskID,
-					LFN: f.LFN, Scope: f.Scope, Dataset: f.Dataset,
-					ProdDBlock: f.ProdDBlock, FileSize: f.Size,
-					Kind: records.FileInput,
-				})
+				s.emitFile(j, f, records.FileInput)
 			}
 			if j.Output != nil {
-				s.fileSink(&records.FileRecord{
-					PandaID: j.PandaID, JediTaskID: t.JediTaskID,
-					LFN: j.Output.LFN, Scope: j.Output.Scope, Dataset: j.Output.Dataset,
-					ProdDBlock: j.Output.ProdDBlock, FileSize: j.Output.Size,
-					Kind: records.FileOutput,
-				})
+				s.emitFile(j, j.Output, records.FileOutput)
 			}
 		}
 	}
+}
+
+// emitFile lends the file sink the JEDI row of one of the job's files.
+func (s *System) emitFile(j *Job, f *rucio.FileInfo, kind records.FileKind) {
+	s.file = records.FileRecord{
+		PandaID: j.PandaID, JediTaskID: j.Task.JediTaskID,
+		LFN: f.LFN, Scope: f.Scope, Dataset: f.Dataset,
+		ProdDBlock: f.ProdDBlock, FileSize: f.Size,
+		Kind: kind,
+	}
+	s.fileSink(&s.file)
 }
 
 // Backlog reports the total queued (not yet piloted) jobs across sites.

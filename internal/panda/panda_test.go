@@ -31,8 +31,9 @@ func newFixture(seed int64, opts Options) *fixture {
 		f.evs = append(f.evs, ev)
 	})
 	f.sys = NewSystem(f.eng, f.grid, f.ruc, root.Split("panda"), opts,
-		func(j *records.JobRecord) { f.jobs = append(f.jobs, j) },
-		func(fr *records.FileRecord) { f.files = append(f.files, fr) },
+		// The sinks' records are borrowed for the call: keep copies.
+		func(j *records.JobRecord) { cp := *j; f.jobs = append(f.jobs, &cp) },
+		func(fr *records.FileRecord) { cp := *fr; f.files = append(f.files, &cp) },
 	)
 	return f
 }
@@ -122,6 +123,35 @@ func TestTaskRunsToCompletion(t *testing.T) {
 	}
 	if f.sys.Backlog() != 0 || f.sys.Running() != 0 {
 		t.Error("pilots leaked")
+	}
+}
+
+// TestEmitTaskAllocatesNoRecord pins a finished task's emit at zero
+// allocations when the sinks copy, as the ingest pipe and the store do: the
+// sinks borrow the System's job and file records for the call instead of
+// receiving a heap record per put.
+func TestEmitTaskAllocatesNoRecord(t *testing.T) {
+	f := newFixture(2, Options{})
+	f.seedDataset("data25.ds1", "CERN-PROD", 20, 2e9)
+	task, err := f.sys.SubmitTask(TaskSpec{
+		Label: records.LabelUser, InputDatasets: []string{"data25.ds1"},
+		JobCount: 10, FilesPerJob: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.eng.Run()
+	var job records.JobRecord
+	var file records.FileRecord
+	var jobs, files int
+	f.sys.jobSink = func(j *records.JobRecord) { job = *j; jobs++ }
+	f.sys.fileSink = func(fr *records.FileRecord) { file = *fr; files++ }
+	allocs := testing.AllocsPerRun(20, func() { f.sys.emitTask(task) })
+	if allocs != 0 {
+		t.Fatalf("emitting a 10-job task allocated %.1f times, want 0", allocs)
+	}
+	if jobs != 21*10 || files < 21*20 || job.JediTaskID != task.JediTaskID || file.JediTaskID != task.JediTaskID {
+		t.Fatalf("sinks saw %d jobs and %d files (last task ids %d, %d)", jobs, files, job.JediTaskID, file.JediTaskID)
 	}
 }
 

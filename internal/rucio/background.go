@@ -153,20 +153,20 @@ func StartBackground(r *Rucio, rng *simtime.RNG, cfg BackgroundConfig) *Backgrou
 		b.consolidationSites = append(b.consolidationSites, s.Name)
 		b.consolidationWeights = append(b.consolidationWeights, w)
 	}
-	b.loop("export", cfg.ExportInterval, b.export)
-	b.loop("rebalance", cfg.RebalanceInterval, b.rebalance)
-	b.loop("consolidate", cfg.ConsolidationInterval, b.consolidate)
-	b.loop("subscribe", cfg.SubscriptionInterval, b.subscribe)
+	b.loop(cfg.ExportInterval, b.export)
+	b.loop(cfg.RebalanceInterval, b.rebalance)
+	b.loop(cfg.ConsolidationInterval, b.consolidate)
+	b.loop(cfg.SubscriptionInterval, b.subscribe)
 	return b
 }
 
-func (b *Background) loop(name string, mean simtime.VTime, fn func()) {
+func (b *Background) loop(mean simtime.VTime, fn func()) {
 	var tick func()
 	tick = func() {
 		fn()
-		b.r.eng.After(b.rng.VExp(mean), "bg."+name, tick)
+		b.r.eng.After(b.rng.VExp(mean), tick)
 	}
-	b.r.eng.After(b.rng.VExp(mean), "bg."+name, tick)
+	b.r.eng.After(b.rng.VExp(mean), tick)
 }
 
 // makeDataset creates a fresh background dataset with replicas available at

@@ -191,7 +191,7 @@ func (r *Rucio) execute(sp transferSpec) {
 	}
 	// Tape sources pay a staging latency before the network movement.
 	if r.tapeRSE(sp.src) {
-		r.eng.After(r.rng.VExp(r.opts.TapeStageLatency), "rucio.tapestage", start)
+		r.eng.After(r.rng.VExp(r.opts.TapeStageLatency), start)
 	} else {
 		start()
 	}

@@ -154,7 +154,7 @@ func (e *RuleEngine) StartReaper(interval simtime.VTime) {
 	var tick func()
 	tick = func() {
 		e.Sweep()
-		e.r.eng.After(interval, "rucio.reaper", tick)
+		e.r.eng.After(interval, tick)
 	}
-	e.r.eng.After(interval, "rucio.reaper", tick)
+	e.r.eng.After(interval, tick)
 }

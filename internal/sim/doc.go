@@ -19,12 +19,14 @@
 //
 // Every run ingests through one pipe (pipe.go). The record sinks — panda's
 // job and file sinks, and rucio's transfer sink after corruption — copy
-// each record into a batch; a full batch (ingestBatch puts) is applied
-// through the store's Put methods by a goroutine of its own while the
-// event loop fills the next, with at most one batch in flight, so the
-// store keeps one writer at a time and receives the same put sequence as
-// a synchronous sink would. The pipe drains — waits for the batch in
-// flight, then applies the partial one — before every observer call and
-// before the final Freeze: an observer, and every analysis after Run, sees
-// exactly the puts made before it.
+// each record into a batch (panda lends its records for the call, so the
+// copy is the only one). A full batch (ingestBatch puts) joins a FIFO of
+// at most ingestQueue batches, which one long-lived goroutine applies
+// through the store's Put methods in queue order while the event loop
+// fills the next, so the store keeps one writer and receives the same put
+// sequence as a synchronous sink would. The pipe drains — waits until the
+// applier has handed back every queued batch, then applies the partial
+// one — before every observer call and before the final Freeze, and its
+// applier exits when the run ends: an observer, and every analysis after
+// Run, sees exactly the puts made before it.
 package sim

@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"panrucio/internal/corruption"
 	"panrucio/internal/metastore"
@@ -51,11 +54,13 @@ func checkPrefix(t *testing.T, st *storetest.Stream, s *metastore.Store, k int) 
 // TestPipeDrainMatchesOracle replays a fuzzed put stream through the
 // ingest pipe's sinks. A drain must leave the store holding exactly the
 // puts made before it, whatever state the batches are in: nothing filled,
-// a partial batch, a batch just shipped, one shipped plus a partial one.
+// a partial batch, a batch just shipped, one shipped plus a partial one,
+// the queue one batch short of full, full, full plus a partial batch, and
+// a hand-off that found the queue full.
 func TestPipeDrainMatchesOracle(t *testing.T) {
-	const b = ingestBatch
-	st := storetest.Make(7, 3*b)
-	for _, k := range []int{0, 1, b - 1, b, b + 1, 2*b + 1} {
+	const b, q = ingestBatch, ingestQueue
+	st := storetest.Make(7, (q+2)*b)
+	for _, k := range []int{0, 1, b - 1, b, b + 1, 2*b + 1, q*b - 1, q * b, q*b + 1, (q+1)*b + 1} {
 		s := newPipeStore()
 		p := newIngestPipe(s)
 		st.Replay(0, k, p.putJob, p.putFile, p.putTransfer)
@@ -63,7 +68,7 @@ func TestPipeDrainMatchesOracle(t *testing.T) {
 		checkPrefix(t, st, s, k)
 		// The pipe keeps its order across a drain.
 		st.Replay(k, st.Len(), p.putJob, p.putFile, p.putTransfer)
-		p.drain()
+		p.close()
 		checkPrefix(t, st, s, st.Len())
 	}
 
@@ -83,6 +88,66 @@ func TestPipeDrainMatchesOracle(t *testing.T) {
 		checkPrefix(t, st, s, k)
 		prev = k
 	}
+	p.close()
+}
+
+// TestPipeCountsBlockedWaits stalls the applier until the event loop has
+// filled the queue, so the next hand-off must block: the wait histogram
+// records it, the batch counter counts every hand-off, and the store still
+// receives the stream in order.
+func TestPipeCountsBlockedWaits(t *testing.T) {
+	const b, q = ingestBatch, ingestQueue
+	st := storetest.Make(11, (q+1)*b)
+	s := newPipeStore()
+	// newIngestPipe without its applier, which starts only after the stall.
+	p := &ingestPipe{store: s, fill: &batch{}, todo: make(chan *batch, q), done: make(chan *batch, q)}
+	batches, waits, waited := mIngestBatches.Value(), mIngestWaitSeconds.Count(), mIngestWaitSeconds.Sum()
+	st.Replay(0, st.Len()-1, p.putJob, p.putFile, p.putTransfer)
+	const stall = 20 * time.Millisecond
+	time.AfterFunc(stall, func() { go p.apply() })
+	st.Replay(st.Len()-1, st.Len(), p.putJob, p.putFile, p.putTransfer) // the (q+1)th hand-off
+	if got := mIngestWaitSeconds.Count() - waits; got != 1 {
+		t.Fatalf("%d blocking waits recorded, want 1", got)
+	}
+	if got := mIngestWaitSeconds.Sum() - waited; got < 0.5*stall.Seconds() {
+		t.Fatalf("blocked %.4fs behind a %v stall", got, stall)
+	}
+	if got := mIngestBatches.Value() - batches; got != q+1 {
+		t.Fatalf("%d hand-offs counted, want %d", got, q+1)
+	}
+	p.close()
+	checkPrefix(t, st, s, st.Len())
+}
+
+// TestRunCountsHandoffs requires a quick run to count one hand-off per
+// full batch of its puts, and Run and RunWithObserver to end their
+// applier before returning.
+func TestRunCountsHandoffs(t *testing.T) {
+	cfg := QuickConfig(3)
+	before := mIngestBatches.Value()
+	res := Run(cfg)
+	puts := res.Store.JobCount() + res.Store.FileCount() + res.Store.TransferCount()
+	if got := mIngestBatches.Value() - before; got != int64(puts/ingestBatch) || got == 0 {
+		t.Fatalf("%d hand-offs counted for %d puts, want %d", got, puts, puts/ingestBatch)
+	}
+	checkNoApplier(t, "Run")
+	RunWithObserver(cfg, 6*simtime.Hour, func(simtime.VTime, *metastore.Store) {})
+	checkNoApplier(t, "RunWithObserver")
+}
+
+// checkNoApplier fails unless no goroutine runs a pipe's applier. The
+// applier's exit follows close's return by a few instructions, so the
+// check polls briefly before failing.
+func checkNoApplier(t *testing.T, after string) {
+	t.Helper()
+	for range 100 {
+		buf := make([]byte, 1<<20)
+		if !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*ingestPipe).apply(") {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("an ingest pipe's applier is still running after %s returned", after)
 }
 
 // checkpoint is what one observer call saw of the store.
@@ -139,10 +204,10 @@ func runSynchronous(cfg Config, every simtime.VTime, obs Observer) *metastore.St
 	tick = func() {
 		obs(eng.Now(), store)
 		if eng.Now()+every < horizon {
-			eng.After(every, "observer", tick)
+			eng.After(every, tick)
 		}
 	}
-	eng.After(every, "observer", tick)
+	eng.After(every, tick)
 	eng.Run()
 	store.Freeze()
 	return store

@@ -18,9 +18,9 @@ import (
 	"panrucio/internal/workload"
 )
 
-// Process-wide simulator metrics. Everything here updates at run or
-// checkpoint granularity — never per event — so the event engine's hot
-// loop carries no instrumentation cost at all.
+// Process-wide simulator metrics. Everything here updates at run,
+// checkpoint or ingest-batch granularity — never per event — so the event
+// engine's hot loop carries no instrumentation cost at all.
 var (
 	mRuns = obs.Default().Counter("sim_runs_total",
 		"completed scenario runs (Run, RunReusing, RunWithObserver)")
@@ -32,6 +32,10 @@ var (
 		"observer checkpoints fired across all runs")
 	mCheckpointSeconds = obs.Default().Histogram("sim_checkpoint_wall_seconds",
 		"wall time from one observer checkpoint to the next (observer included)", obs.DefBuckets)
+	mIngestBatches = obs.Default().Counter("sim_ingest_batches_total",
+		"full batches the event loop handed to the ingest pipe's applier")
+	mIngestWaitSeconds = obs.Default().Histogram("sim_ingest_wait_seconds",
+		"wall time the event loop blocked on the ingest pipe, per blocking wait (a hand-off with the queue full, or a drain)", obs.DefBuckets)
 )
 
 // Config selects the simulation scenario. Zero sub-configs take each
@@ -239,17 +243,17 @@ func runReusing(cfg Config, store *metastore.Store, every simtime.VTime, obs Obs
 			mCheckpointSeconds.Observe(now.Sub(last).Seconds())
 			last = now
 			if eng.Now()+every < horizon {
-				eng.After(every, "observer", tick)
+				eng.After(every, tick)
 			}
 		}
-		eng.After(every, "observer", tick)
+		eng.After(every, tick)
 	}
 
 	eng.Run()
-	// Ingestion is complete once the pipe drains: compact the time indices
-	// now so the analyses start from a frozen store, whose ranged queries
-	// read one binary-searched run and merge nothing.
-	pipe.drain()
+	// Ingestion is complete once the pipe closes, drained: compact the time
+	// indices now so the analyses start from a frozen store, whose ranged
+	// queries read one binary-searched run and merge nothing.
+	pipe.close()
 	store.Freeze()
 	wall := time.Since(start)
 	mRuns.Inc()

@@ -13,12 +13,16 @@
 // randomness.
 //
 // The queue is a concrete binary heap whose slots hold the (time, seq) key
-// inline beside the *Event, so ordering never dereferences an event or
-// boxes through an interface. seq is unique per engine, which makes the
-// order total: same-instant events fire FIFO. Cancellation is lazy — a
-// cancelled event stays queued (Pending counts it) until it reaches the
-// head, where Step and RunUntil drop it. FuzzEngineOrder holds the engine
-// to a reference that stable-sorts a plain slice by time.
+// inline beside the callback, so ordering never dereferences anything or
+// boxes through an interface, and a schedule allocates nothing. seq is
+// unique per engine, which makes the order total: same-instant events
+// fire FIFO. At and After schedule a callback with no handle; Arm
+// schedules one under a caller-owned, reusable Event handle, the only way
+// to cancel. Cancellation is lazy — a cancelled or superseded slot stays
+// queued (Pending counts it) until it reaches the head, where Step and
+// RunUntil drop it. FuzzEngineOrder holds the engine to a reference that
+// stable-sorts a plain slice by time, over handle-less and armed
+// schedules, cancels and re-arms.
 //
 // Streams are identical to math/rand.NewSource(seed): for every seed, an
 // RNG draws exactly what rand.New(rand.NewSource(seed)) would, through

@@ -5,34 +5,42 @@ import (
 	"math"
 )
 
-// Event is a scheduled callback. Events fire in (time, sequence) order;
-// the sequence number makes same-instant events deterministic (FIFO by
-// scheduling order), which is essential for reproducibility.
+// Event is a cancel handle for a scheduled callback, owned by the caller
+// and reusable: Arm schedules a callback under it, and arming it again
+// supersedes the schedule it held, as if that had been cancelled. Events
+// scheduled with At or After have no handle and cannot be cancelled,
+// which is what keeps them allocation-free. The zero value is ready.
 type Event struct {
-	At   VTime
-	Run  func()
-	Name string // optional label for debugging and tracing
-
+	seq       uint64 // sequence number of the schedule it holds
 	cancelled bool
 }
 
-// Cancel marks an event so the engine skips it when popped. Cancelling an
-// already-fired event is a no-op.
+// Cancel stops the handle's pending schedule from firing; the engine skips
+// it when popped. Cancelling a schedule that already fired is a no-op.
 func (e *Event) Cancel() { e.cancelled = true }
 
-// Cancelled reports whether the event was cancelled before firing.
+// Cancelled reports whether the handle's last schedule was cancelled
+// before it fired.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
 // queued is one event-queue slot: the (time, seq) key sits inline beside
-// the event, so ordering two slots never dereferences an event.
+// the callback, so ordering two slots never dereferences anything. ev is
+// the cancel handle of an armed schedule and nil for every other.
 type queued struct {
 	at  VTime
 	seq uint64
+	fn  func()
 	ev  *Event
 }
 
 func (a queued) before(b queued) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// dead reports whether the slot's schedule was cancelled or superseded by
+// a later Arm of its handle.
+func (a *queued) dead() bool {
+	return a.ev != nil && (a.ev.cancelled || a.ev.seq != a.seq)
 }
 
 // eventQueue is a binary min-heap of slots in (time, seq) order. Sequence
@@ -56,14 +64,14 @@ func (q *eventQueue) push(x queued) {
 	*q = h
 }
 
-// pop removes and returns the earliest slot's event; the queue must be
-// non-empty. The last slot moves into the root's hole and sifts down.
-func (q *eventQueue) pop() *Event {
+// pop removes and returns the earliest slot; the queue must be non-empty.
+// The last slot moves into the root's hole and sifts down.
+func (q *eventQueue) pop() queued {
 	h := *q
-	top := h[0].ev
+	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = queued{} // drop the event pointer for the GC
+	h[n] = queued{} // drop the callback and handle for the GC
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -117,55 +125,60 @@ func (e *Engine) Now() VTime { return e.clock.Now() }
 func (e *Engine) Horizon() VTime { return e.horizon }
 
 // Pending reports the number of events waiting in the queue, including
-// cancelled ones not yet reaped.
+// cancelled and superseded ones not yet reaped.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// At schedules fn to run at absolute virtual time t and returns the event
-// handle (usable for cancellation). Scheduling in the past is an error.
-func (e *Engine) At(t VTime, name string, fn func()) (*Event, error) {
-	if t < e.clock.Now() {
-		return nil, ErrPastEvent
-	}
-	ev := &Event{At: t, Run: fn, Name: name}
-	e.queue.push(queued{at: t, seq: e.nextSeq, ev: ev})
-	e.nextSeq++
-	return ev, nil
+// At schedules fn to run at absolute virtual time t. Scheduling in the
+// past is an error.
+func (e *Engine) At(t VTime, fn func()) error {
+	return e.schedule(t, fn, nil)
 }
 
 // After schedules fn to run d seconds from now. Negative delays clamp to 0
 // (run at the current instant, after already-queued same-instant events).
-func (e *Engine) After(d VTime, name string, fn func()) *Event {
-	if d < 0 {
-		d = 0
+func (e *Engine) After(d VTime, fn func()) {
+	_ = e.schedule(e.clock.Now()+max(d, 0), fn, nil) // never in the past
+}
+
+// Arm is At under the cancel handle ev: ev.Cancel stops fn from firing,
+// and arming ev again supersedes this schedule. Like every schedule it
+// takes one sequence number, so arming orders exactly as At would.
+func (e *Engine) Arm(ev *Event, t VTime, fn func()) error {
+	return e.schedule(t, fn, ev)
+}
+
+func (e *Engine) schedule(t VTime, fn func(), ev *Event) error {
+	if t < e.clock.Now() {
+		return ErrPastEvent
 	}
-	ev, err := e.At(e.clock.Now()+d, name, fn)
-	if err != nil {
-		// Unreachable: now+nonnegative is never in the past.
-		panic(err)
+	if ev != nil {
+		ev.seq, ev.cancelled = e.nextSeq, false
 	}
-	return ev
+	e.queue.push(queued{at: t, seq: e.nextSeq, fn: fn, ev: ev})
+	e.nextSeq++
+	return nil
 }
 
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty or the next event lies at/after the horizon (in which case
-// the clock advances to the horizon). Cancelled events are dropped as they
-// reach the head.
+// the clock advances to the horizon). Cancelled and superseded events are
+// dropped as they reach the head.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.cancelled {
+		s := e.queue.pop()
+		if s.dead() {
 			continue
 		}
-		if ev.At >= e.horizon {
+		if s.at >= e.horizon {
 			e.clock.advance(e.horizon)
 			return false
 		}
-		e.clock.advance(ev.At)
+		e.clock.advance(s.at)
 		e.fired++
-		ev.Run()
+		s.fn()
 		return true
 	}
 	return false
@@ -188,8 +201,8 @@ func (e *Engine) RunUntil(t VTime) {
 		t = e.horizon
 	}
 	for len(e.queue) > 0 {
-		head := e.queue[0]
-		if head.ev.cancelled {
+		head := &e.queue[0]
+		if head.dead() {
 			e.queue.pop()
 			continue
 		}

@@ -16,17 +16,31 @@ import (
 // from the front; it skips cancelled events and stops at the horizon,
 // which is the engine's (time, seq) contract stated directly.
 //
+// A schedule is of one of the engine's two kinds: handle-less, through
+// After or At, or armed, through Arm under a handle of its own that can
+// later be cancelled or armed again. Re-arming supersedes the schedule
+// the handle held; the reference mirrors it as a cancel of that schedule
+// plus a new schedule of the same callback.
+//
 // Input layout: byte 0 picks the horizon (b%64, 0 = none); then each pair
 // (op, arg) is one operation, op%8 selecting it and op/8 parameterizing
-// the callback of a scheduled event:
+// the callback of a scheduled event. A scheduled event is armed when arg
+// is below 128 and handle-less otherwise.
 //
-//	0-2  After(delays[arg%8])          3  cancel the arg-th pending event
-//	4    RunUntil(now + arg%16)        5  Step
-//	6    Run                           7  At(arg%32), possibly in the past
+//	0-2  After(delays[arg%8])          3  cancel the arg-th pending armed
+//	4    RunUntil(now + arg%16)           event (op/8 even), or re-arm the
+//	5    Step                             arg-th armed event at
+//	6    Run                              now-1+delays[op/16%8] (op/8 odd)
+//	7    At(arg%32), possibly in the past
 //
-// A callback's parameter p selects what it does when it fires: p%4 = 0
-// nothing, 1 schedule a child After(delays[p/4]), 2 cancel the (p/4)-th
-// pending event, 3 schedule a child At(now - p/4%2) (in the past when odd).
+// A callback's parameter p selects what it does when it fires, with k =
+// p/4: p%4 = 0 nothing, 1 schedule a child After(delays[k]), 2 cancel the
+// (k/2)-th pending armed event (k even) or re-arm the (k/2)-th armed event
+// at now+delays[k] (k odd, on the callback's first run only, so re-arming
+// callbacks cannot fire each other forever), 3 schedule a child At(now -
+// k%2) (in the past when odd). A child is of its parent's kind. Re-arming
+// picks among every armed event, so it also re-arms handles whose schedule
+// fired (a callback re-arming its own handle) or was cancelled.
 func FuzzEngineOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var horizon VTime
@@ -52,8 +66,9 @@ var delayPool = [8]VTime{0, 0, 1, 1, 2, 3, 5, 8}
 
 // scheduler is the surface FuzzEngineOrder drives.
 type scheduler interface {
-	after(d VTime, fn func()) (cancel func())
-	at(t VTime, fn func()) (cancel func(), err error)
+	after(d VTime, fn func())
+	at(t VTime, fn func()) error
+	arm(t VTime, fn func()) (handle, error)
 	step() bool
 	run() uint64
 	runUntil(t VTime)
@@ -62,13 +77,20 @@ type scheduler interface {
 	fired() uint64
 }
 
+// handle is the cancel handle of an armed schedule.
+type handle interface {
+	cancel()
+	rearm(t VTime) error // the same callback at t, superseding the schedule held
+}
+
 // playEngineOps runs the decoded program against s and returns its trace.
 func playEngineOps(data []byte, s scheduler) []string {
 	var trace []string
-	var cancels []func() // by event id
-	var live []int       // ids scheduled, not yet fired or cancelled, in id order
+	var handles []handle // by event id; nil for a handle-less event
+	var armed []int      // ids of armed events, in id order
+	var live []int       // armed ids pending: not fired or cancelled, in id order
 	drop := func(id int) {
-		if i := slices.Index(live, id); i >= 0 {
+		if i, ok := slices.BinarySearch(live, id); ok {
 			live = slices.Delete(live, i, i+1)
 		}
 	}
@@ -77,49 +99,82 @@ func playEngineOps(data []byte, s scheduler) []string {
 			return
 		}
 		id := live[k%len(live)]
-		cancels[id]()
+		handles[id].cancel()
 		drop(id)
 		trace = append(trace, fmt.Sprintf("cancel %d", id))
 	}
-	var schedule func(t VTime, relative bool, p int)
-	schedule = func(t VTime, relative bool, p int) {
-		id := len(cancels)
+	rearm := func(k int, t VTime) {
+		if len(armed) == 0 {
+			return
+		}
+		id := armed[k%len(armed)]
+		if err := handles[id].rearm(t); err != nil {
+			trace = append(trace, fmt.Sprintf("rearm %d at %d: %v", id, t, err))
+			return
+		}
+		if i, ok := slices.BinarySearch(live, id); !ok {
+			live = slices.Insert(live, i, id)
+		}
+		trace = append(trace, fmt.Sprintf("rearm %d at %d", id, t))
+	}
+	var schedule func(t VTime, relative, withHandle bool, p int)
+	schedule = func(t VTime, relative, withHandle bool, p int) {
+		id, reran := len(handles), false
 		fn := func() {
 			drop(id)
 			trace = append(trace, fmt.Sprintf("fire %d at %d", id, s.now()))
-			switch p % 4 {
+			switch k := p / 4; p % 4 {
 			case 1:
-				schedule(delayPool[p/4%len(delayPool)], true, 0)
+				schedule(delayPool[k%len(delayPool)], true, withHandle, 0)
 			case 2:
-				cancelPending(p / 4)
+				if k%2 == 0 {
+					cancelPending(k / 2)
+				} else if !reran {
+					rearm(k/2, s.now()+delayPool[k%len(delayPool)])
+				}
+				reran = true
 			case 3:
-				schedule(s.now()-VTime(p/4%2), false, 0)
+				schedule(s.now()-VTime(k%2), false, withHandle, 0)
 			}
 		}
-		if relative {
-			cancels = append(cancels, s.after(t, fn))
-		} else {
-			cancel, err := s.at(t, fn)
-			if err != nil {
-				trace = append(trace, fmt.Sprintf("at %d: %v", t, err))
-				return
-			}
-			cancels = append(cancels, cancel)
+		var h handle
+		var err error
+		switch {
+		case withHandle && relative:
+			h, err = s.arm(s.now()+t, fn) // delays are non-negative
+		case withHandle:
+			h, err = s.arm(t, fn)
+		case relative:
+			s.after(t, fn)
+		default:
+			err = s.at(t, fn)
 		}
-		live = append(live, id)
+		if err != nil {
+			trace = append(trace, fmt.Sprintf("at %d: %v", t, err))
+			return
+		}
+		handles = append(handles, h)
+		if withHandle {
+			armed = append(armed, id)
+			live = append(live, id)
+		}
 	}
 	for i := 1; i < len(data); i += 2 {
 		op, arg := data[i], byte(0)
 		if i+1 < len(data) {
 			arg = data[i+1]
 		}
-		p := int(op / 8)
+		p, withHandle := int(op/8), arg < 128
 		ret := ""
 		switch op % 8 {
 		case 0, 1, 2:
-			schedule(delayPool[arg%8], true, p)
+			schedule(delayPool[arg%8], true, withHandle, p)
 		case 3:
-			cancelPending(int(arg))
+			if p%2 == 0 {
+				cancelPending(int(arg))
+			} else {
+				rearm(int(arg), s.now()-1+delayPool[p/2%len(delayPool)])
+			}
 		case 4:
 			s.runUntil(s.now() + VTime(arg%16))
 		case 5:
@@ -127,7 +182,7 @@ func playEngineOps(data []byte, s scheduler) []string {
 		case 6:
 			ret = fmt.Sprint(s.run())
 		case 7:
-			schedule(VTime(arg%32), false, p)
+			schedule(VTime(arg%32), false, withHandle, p)
 		}
 		trace = append(trace, fmt.Sprintf("op %d/%d %s now=%d pending=%d fired=%d",
 			i, op%8, ret, s.now(), s.pending(), s.fired()))
@@ -135,16 +190,18 @@ func playEngineOps(data []byte, s scheduler) []string {
 	return trace
 }
 
-// engineUnderTest adapts Engine to the fuzz surface.
+// engineUnderTest adapts Engine to the fuzz surface: After and At for
+// handle-less events, Arm for armed ones.
 type engineUnderTest struct{ e *Engine }
 
-func (u engineUnderTest) after(d VTime, fn func()) func() { return u.e.After(d, "fuzz", fn).Cancel }
-func (u engineUnderTest) at(t VTime, fn func()) (func(), error) {
-	ev, err := u.e.At(t, "fuzz", fn)
-	if err != nil {
+func (u engineUnderTest) after(d VTime, fn func())    { u.e.After(d, fn) }
+func (u engineUnderTest) at(t VTime, fn func()) error { return u.e.At(t, fn) }
+func (u engineUnderTest) arm(t VTime, fn func()) (handle, error) {
+	h := &engineHandle{e: u.e, fn: fn}
+	if err := u.e.Arm(&h.ev, t, fn); err != nil {
 		return nil, err
 	}
-	return ev.Cancel, nil
+	return h, nil
 }
 func (u engineUnderTest) step() bool       { return u.e.Step() }
 func (u engineUnderTest) run() uint64      { return u.e.Run() }
@@ -152,6 +209,16 @@ func (u engineUnderTest) runUntil(t VTime) { u.e.RunUntil(t) }
 func (u engineUnderTest) now() VTime       { return u.e.Now() }
 func (u engineUnderTest) pending() int     { return u.e.Pending() }
 func (u engineUnderTest) fired() uint64    { return u.e.Fired() }
+
+// engineHandle is an armed event's Event and the callback it re-arms.
+type engineHandle struct {
+	e  *Engine
+	ev Event
+	fn func()
+}
+
+func (h *engineHandle) cancel()             { h.ev.Cancel() }
+func (h *engineHandle) rearm(t VTime) error { return h.e.Arm(&h.ev, t, h.fn) }
 
 // refScheduler is the oracle: events in scheduling order, stable-sorted by
 // time before each removal.
@@ -174,18 +241,46 @@ func newRefScheduler(horizon VTime) *refScheduler {
 	return &refScheduler{horizon: horizon}
 }
 
-func (r *refScheduler) after(d VTime, fn func()) func() {
-	cancel, _ := r.at(r.clock+max(d, 0), fn)
-	return cancel
+func (r *refScheduler) after(d VTime, fn func()) { r.push(r.clock+max(d, 0), fn) }
+
+func (r *refScheduler) at(t VTime, fn func()) error {
+	_, err := r.push(t, fn)
+	return err
 }
 
-func (r *refScheduler) at(t VTime, fn func()) (func(), error) {
+func (r *refScheduler) arm(t VTime, fn func()) (handle, error) {
+	ev, err := r.push(t, fn)
+	if err != nil {
+		return nil, err
+	}
+	return &refHandle{r: r, ev: ev}, nil
+}
+
+func (r *refScheduler) push(t VTime, fn func()) (*refEvent, error) {
 	if t < r.clock {
 		return nil, ErrPastEvent
 	}
 	ev := &refEvent{at: t, fn: fn}
 	r.queue = append(r.queue, ev)
-	return func() { ev.cancelled = true }, nil
+	return ev, nil
+}
+
+// refHandle re-arms as a cancel of the event it holds plus a new event.
+type refHandle struct {
+	r  *refScheduler
+	ev *refEvent
+}
+
+func (h *refHandle) cancel() { h.ev.cancelled = true }
+
+func (h *refHandle) rearm(t VTime) error {
+	next, err := h.r.push(t, h.ev.fn)
+	if err != nil {
+		return err
+	}
+	h.ev.cancelled = true
+	h.ev = next
+	return nil
 }
 
 // head returns the earliest event, scheduling order breaking ties.

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -32,9 +33,9 @@ func TestVTimeDuration(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine(0, 0)
 	var order []int
-	e.After(30, "c", func() { order = append(order, 3) })
-	e.After(10, "a", func() { order = append(order, 1) })
-	e.After(20, "b", func() { order = append(order, 2) })
+	e.After(30, func() { order = append(order, 3) })
+	e.After(10, func() { order = append(order, 1) })
+	e.After(20, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
@@ -49,7 +50,7 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.After(5, "x", func() { order = append(order, i) })
+		e.After(5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -66,10 +67,10 @@ func TestEngineCascade(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 100 {
-			e.After(1, "tick", tick)
+			e.After(1, tick)
 		}
 	}
-	e.After(1, "tick", tick)
+	e.After(1, tick)
 	fired := e.Run()
 	if count != 100 || fired != 100 {
 		t.Fatalf("count=%d fired=%d, want 100", count, fired)
@@ -82,8 +83,8 @@ func TestEngineCascade(t *testing.T) {
 func TestEngineHorizon(t *testing.T) {
 	e := NewEngine(0, 50)
 	ran := 0
-	e.After(10, "in", func() { ran++ })
-	e.After(60, "out", func() { ran++ })
+	e.After(10, func() { ran++ })
+	e.After(60, func() { ran++ })
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("ran=%d, want 1 (event past horizon must not fire)", ran)
@@ -96,7 +97,10 @@ func TestEngineHorizon(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine(0, 0)
 	ran := false
-	ev := e.After(10, "x", func() { ran = true })
+	var ev Event
+	if err := e.Arm(&ev, 10, func() { ran = true }); err != nil {
+		t.Fatal(err)
+	}
 	ev.Cancel()
 	e.Run()
 	if ran {
@@ -107,9 +111,58 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// TestEngineArmSupersedes holds a re-armed handle to one firing: the later
+// schedule replaces the earlier, which stays queued (Pending counts it)
+// until it reaches the head and is dropped unfired. A handle whose
+// schedule fired arms again.
+func TestEngineArmSupersedes(t *testing.T) {
+	e := NewEngine(0, 0)
+	var ev Event
+	var fired []VTime
+	fn := func() { fired = append(fired, e.Now()) }
+	for _, at := range []VTime{5, 10} {
+		if err := e.Arm(&ev, at, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2 (the superseded schedule stays queued)", e.Pending())
+	}
+	if n := e.Run(); n != 1 || !slices.Equal(fired, []VTime{10}) {
+		t.Fatalf("fired %v (%d events), want only the later schedule at 10", fired, n)
+	}
+	if err := e.Arm(&ev, 20, fn); err != nil {
+		t.Fatal(err)
+	}
+	if e.Run(); !slices.Equal(fired, []VTime{10, 20}) || ev.Cancelled() {
+		t.Fatalf("re-armed handle: fired %v, cancelled %v", fired, ev.Cancelled())
+	}
+}
+
+// TestEngineScheduleAllocatesNothing pins the engine's allocation per
+// schedule at zero once its queue has grown: a slot carries the callback,
+// so neither After nor Arm with a caller-owned handle allocates.
+func TestEngineScheduleAllocatesNothing(t *testing.T) {
+	e := NewEngine(0, 0)
+	fn := func() {}
+	var ev Event
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range 64 {
+			e.After(VTime(i%8), fn)
+		}
+		if err := e.Arm(&ev, e.Now()+3, fn); err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per 65 schedules, want 0", allocs)
+	}
+}
+
 func TestEnginePastEvent(t *testing.T) {
 	e := NewEngine(100, 0)
-	if _, err := e.At(50, "past", func() {}); err != ErrPastEvent {
+	if err := e.At(50, func() {}); err != ErrPastEvent {
 		t.Fatalf("At(past) err = %v, want ErrPastEvent", err)
 	}
 }
@@ -117,7 +170,7 @@ func TestEnginePastEvent(t *testing.T) {
 func TestEngineNegativeDelayClamps(t *testing.T) {
 	e := NewEngine(100, 0)
 	ran := false
-	e.After(-5, "neg", func() { ran = true })
+	e.After(-5, func() { ran = true })
 	e.Run()
 	if !ran || e.Now() != 100 {
 		t.Fatalf("negative delay should fire at current instant; ran=%v now=%d", ran, e.Now())
@@ -129,7 +182,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []VTime
 	for _, at := range []VTime{5, 15, 25} {
 		at := at
-		e.After(at, "x", func() { fired = append(fired, at) })
+		e.After(at, func() { fired = append(fired, at) })
 	}
 	e.RunUntil(20)
 	if len(fired) != 2 {
@@ -270,7 +323,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var fired []VTime
 		for _, d := range delays {
 			d := VTime(d)
-			e.After(d, "p", func() { fired = append(fired, e.Now()) })
+			e.After(d, func() { fired = append(fired, e.Now()) })
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -324,15 +377,17 @@ func BenchmarkEngineQueue(b *testing.B) {
 		return VTime(1 + x>>54)
 	}
 	k := 0
+	var dead Event
 	var tick func()
 	tick = func() {
-		e.After(delay(), "bench", tick)
+		e.After(delay(), tick)
 		if k++; k%8 == 0 {
-			e.After(delay(), "bench", tick).Cancel()
+			e.Arm(&dead, e.Now()+delay(), tick)
+			dead.Cancel()
 		}
 	}
 	for range live {
-		e.After(delay(), "bench", tick)
+		e.After(delay(), tick)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -139,8 +139,8 @@ func Start(eng *simtime.Engine, grid *topology.Grid, ruc *rucio.Rucio, pan *pand
 		g.placementWeights = append(g.placementWeights, w)
 	}
 	g.seedCatalog()
-	g.arrivalLoop("user", cfg.UserTaskInterval, g.submitUser)
-	g.arrivalLoop("prod", cfg.ProdTaskInterval, g.submitProd)
+	g.arrivalLoop(cfg.UserTaskInterval, g.submitUser)
+	g.arrivalLoop(cfg.ProdTaskInterval, g.submitProd)
 	return g
 }
 
@@ -198,13 +198,13 @@ func (g *Generator) seedCatalog() {
 	}
 }
 
-func (g *Generator) arrivalLoop(name string, mean simtime.VTime, fn func()) {
+func (g *Generator) arrivalLoop(mean simtime.VTime, fn func()) {
 	var tick func()
 	tick = func() {
 		fn()
-		g.eng.After(g.rng.VExp(mean), "workload."+name, tick)
+		g.eng.After(g.rng.VExp(mean), tick)
 	}
-	g.eng.After(g.rng.VExp(mean), "workload."+name, tick)
+	g.eng.After(g.rng.VExp(mean), tick)
 }
 
 // pickDatasets draws 1-2 distinct datasets by popularity.

@@ -19,7 +19,7 @@ func harness(seed int64, horizon simtime.VTime) (*simtime.Engine, *topology.Grid
 	ruc := rucio.New(eng, grid, net, root.Split("rucio"), rucio.Options{}, nil)
 	var jobs []*records.JobRecord
 	pan := panda.NewSystem(eng, grid, ruc, root.Split("panda"), panda.Options{},
-		func(j *records.JobRecord) { jobs = append(jobs, j) }, nil)
+		func(j *records.JobRecord) { cp := *j; jobs = append(jobs, &cp) }, nil) // borrowed: keep a copy
 	return eng, grid, ruc, pan, root.Split("workload"), &jobs
 }
 
