@@ -1,8 +1,7 @@
 package corruption
 
 import (
-	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"panrucio/internal/records"
 	"panrucio/internal/simtime"
@@ -87,9 +86,11 @@ type Stats struct {
 // Corruptor mutates transfer events in place. Use one per simulation with a
 // dedicated RNG split.
 type Corruptor struct {
-	cfg  Config
-	rng  *simtime.RNG
-	salt uint64
+	cfg Config
+	rng *simtime.RNG
+	// salted is the hash of the salt's decimal form and "/", the prefix of
+	// every key a correlated channel hashes.
+	salted fnv1a
 	// Stats is exported for post-run inspection.
 	Stats Stats
 }
@@ -98,33 +99,79 @@ type Corruptor struct {
 func New(rng *simtime.RNG, cfg Config) *Corruptor {
 	cfg.fill()
 	salt := uint64(rng.Int63n(1 << 62))
-	return &Corruptor{cfg: cfg, rng: rng, salt: salt}
+	return &Corruptor{cfg: cfg, rng: rng, salted: saltedPrefix(salt)}
 }
 
 // Config reports the effective configuration.
 func (c *Corruptor) Config() Config { return c.cfg }
 
-// hashBool makes a deterministic, seed-dependent draw keyed by a string:
-// identical keys always decide alike within one corruptor.
-func (c *Corruptor) hashBool(key string, p float64) bool {
-	if p <= 0 {
-		return false
+// fnv1a is a running 64-bit FNV-1a hash, hash/fnv's New64a without the
+// interface: feeding it the parts of a key one by one hashes the bytes the
+// assembled key would hold, with nothing allocated.
+type fnv1a uint64
+
+const (
+	fnvOffset fnv1a = 14695981039346656037
+	fnvPrime  fnv1a = 1099511628211
+)
+
+func (h fnv1a) str(s string) fnv1a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv1a(s[i])) * fnvPrime
 	}
-	if p >= 1 {
-		return true
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", c.salt, key)
-	return float64(h.Sum64()%1_000_000)/1_000_000 < p
+	return h
 }
 
-// batchKey identifies a pilot fetch session: one task staging to one site
-// via one activity within one hour shares a metadata path, so endpoint
-// loss hits the whole batch together.
-func batchKey(ev *records.TransferEvent) string {
-	return fmt.Sprintf("batch/%d/%s/%s/%s/%d",
-		ev.JediTaskID, ev.SourceSite, ev.DestinationSite, ev.Activity,
-		ev.SubmittedAt/simtime.Hour)
+// int feeds v in decimal, as fmt's %d writes it.
+func (h fnv1a) int(v int64) fnv1a {
+	var buf [20]byte
+	for _, b := range strconv.AppendInt(buf[:0], v, 10) {
+		h = (h ^ fnv1a(b)) * fnvPrime
+	}
+	return h
+}
+
+// saltedPrefix hashes the salt's decimal form and "/": every correlated
+// channel hashes "<salt>/<key>".
+func saltedPrefix(salt uint64) fnv1a {
+	return fnvOffset.str(strconv.FormatUint(salt, 10)).str("/")
+}
+
+// hashBool makes a deterministic, seed-dependent draw from h, the hash of
+// a salted key: identical keys always decide alike within one corruptor.
+func hashBool(h fnv1a, p float64) bool {
+	return p >= 1 || p > 0 && float64(uint64(h)%1_000_000)/1_000_000 < p
+}
+
+// joinKey hashes the key of a dataset's join-breakage draw, "join/" and
+// the dataset name.
+func (c *Corruptor) joinKey(dataset string) fnv1a {
+	return c.salted.str("join/").str(dataset)
+}
+
+// batchKey hashes the key of a pilot fetch session, "batch/%d/%s/%s/%s/%d"
+// of the task, both sites, the activity and the submission hour: one task
+// staging to one site via one activity within one hour shares a metadata
+// path, so endpoint loss hits the whole batch together.
+func (c *Corruptor) batchKey(ev *records.TransferEvent) fnv1a {
+	return c.salted.str("batch/").int(ev.JediTaskID).
+		str("/").str(ev.SourceSite).
+		str("/").str(ev.DestinationSite).
+		str("/").str(string(ev.Activity)).
+		str("/").int(int64(ev.SubmittedAt / simtime.Hour))
+}
+
+// tidName is the name a join-broken dataset is recorded under: the name,
+// "_tid" and its hash in eight zero-padded digits (fmt's "%s_tid%08d"),
+// built in one allocation.
+func tidName(dataset string) string {
+	n := uint64(fnvOffset.str(dataset)) % 1e8
+	var digits [8]byte
+	for i := len(digits) - 1; i >= 0; i-- {
+		digits[i] = byte('0' + n%10)
+		n /= 10
+	}
+	return dataset + "_tid" + string(digits[:])
 }
 
 // Transfer applies corruption to one event. It returns false when the event
@@ -141,8 +188,8 @@ func (c *Corruptor) Transfer(ev *records.TransferEvent) bool {
 	jobCorrelated := ev.JediTaskID != 0
 
 	// Per-dataset join breakage (downloads only; see Config docs).
-	if jobCorrelated && ev.IsDownload && c.hashBool("join/"+ev.Dataset, c.cfg.JoinBreakProb) {
-		ev.Dataset = ev.Dataset + "_tid" + fmt.Sprintf("%08d", fnvMod(ev.Dataset, 1e8))
+	if jobCorrelated && ev.IsDownload && hashBool(c.joinKey(ev.Dataset), c.cfg.JoinBreakProb) {
+		ev.Dataset = tidName(ev.Dataset)
 		c.Stats.JoinBroken++
 	}
 
@@ -150,7 +197,7 @@ func (c *Corruptor) Transfer(ev *records.TransferEvent) bool {
 	// event for everything else (uploads, background traffic).
 	lost := false
 	if jobCorrelated && ev.IsDownload {
-		lost = c.hashBool(batchKey(ev), c.cfg.UnknownSiteProbTaskID)
+		lost = hashBool(c.batchKey(ev), c.cfg.UnknownSiteProbTaskID)
 	} else {
 		lost = c.rng.Bool(c.cfg.UnknownSiteProb)
 	}
@@ -197,11 +244,4 @@ func (c *Corruptor) Transfer(ev *records.TransferEvent) bool {
 		c.Stats.SizeJittered++
 	}
 	return true
-}
-
-// fnvMod hashes a string into [0, mod).
-func fnvMod(s string, mod float64) int {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return int(h.Sum64() % uint64(mod))
 }

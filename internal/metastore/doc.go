@@ -6,13 +6,15 @@
 // shards (NewSharded; New picks DefaultShards) by a hash of their
 // jeditaskid and are value-copied into per-shard chunked arenas —
 // contiguous slabs with stable addresses and no per-record heap object.
-// String attributes intern through a store-global table at ingest: the
-// composite join indices Algorithm 1 probes are keyed by dense symbol
-// tuples rather than string quadruples, and repeated site/RSE/activity
-// backings collapse onto one allocation. Matching is task-local, so the
-// matcher-facing probes (JoinEntriesForJob, TaskTransfersByKey,
-// FilesForJob, TransfersByTaskID) touch exactly one shard; events without
-// a jeditaskid spread round-robin and never enter a task index.
+// Labels intern through a store-global table at ingest: the candidate
+// buckets Algorithm 1 probes are keyed by task, file name and the dense
+// symbols of the three join labels rather than by string quadruples, and
+// repeated site/RSE/activity backings collapse onto one allocation. The
+// LFN, unique to its file, is stored as the producer gave it and never
+// enters the table. Matching is task-local, so the matcher-facing probes
+// (JoinEntriesForJob, TaskTransfersByKey, FilesForJob, TransfersByTaskID)
+// touch exactly one shard; events without a jeditaskid spread round-robin
+// and never enter a task index.
 //
 // Ingestion is append-only and single-threaded: the Put* methods maintain
 // the per-shard hash indices and the cached counters incrementally, and

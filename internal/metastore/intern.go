@@ -1,13 +1,16 @@
 package metastore
 
-// internTable assigns dense uint32 symbols to strings and owns their
-// canonical backing. Every string attribute that enters the store flows
-// through it once at ingest: join attributes (lfn/scope/dataset/proddblock)
-// get symbols so the join indices can be keyed by 16-byte value structs
-// instead of 64-byte string quadruples, and repeated site/RSE/activity
-// strings collapse onto one backing array regardless of how the producer
-// built them (the corruption layer, in particular, rewrites labels with
-// fresh allocations).
+// internTable assigns dense uint32 symbols to the store's labels — the
+// low-cardinality strings records repeat — and owns their canonical
+// backing. The join labels (scope, dataset, proddblock) get symbols, so a
+// candidate bucket is keyed by its task, its file name and three 4-byte
+// symbols; computing-site, site, RSE and activity strings collapse onto one
+// backing array regardless of how the producer built them (the corruption
+// layer, in particular, rewrites labels with fresh allocations).
+//
+// The LFN is not interned: it names one file, and every record of a file
+// already carries its producer's one name, so an entry per file would
+// collapse nothing and cost a probe and a table slot per file.
 //
 // The table is store-global, written only on the single-threaded ingest
 // path, and read-only during queries — concurrent readers may look up
@@ -61,15 +64,11 @@ func (t *internTable) reset() {
 // size reports the number of interned strings.
 func (t *internTable) size() int { return len(t.strs) }
 
-// symKey is the interned form of JoinKey: 16 bytes of dense symbols in
-// place of four string headers, hashed as plain memory.
-type symKey struct {
-	lfn, scope, dataset, prodDBlock uint32
-}
-
-// taskSymKey scopes a symKey to one JEDI task — the interned form of the
-// matcher's per-file probe key.
-type taskSymKey struct {
-	task int64
-	key  symKey
+// bucketKey keys a candidate bucket: the matcher's per-file probe key
+// scoped to one JEDI task, with the file name as the producer gave it and
+// the three join labels as symbols.
+type bucketKey struct {
+	task                       int64
+	lfn                        string
+	scope, dataset, prodDBlock uint32
 }

@@ -37,11 +37,11 @@ const DefaultShards = 8
 
 // Store holds the metadata indices, partitioned into independent shards by
 // jeditaskid hash. Records live in per-shard chunked arenas (no per-record
-// heap objects) with their string attributes canonicalized through a
-// store-global intern table; the join indices are keyed by 16-byte interned
-// symbol tuples instead of string quadruples. Matching is task-local, so
-// the matcher's probes (JoinEntriesForJob, TaskTransfersByKey) route to
-// exactly one shard.
+// heap objects) with their labels canonicalized through a store-global
+// intern table; a candidate bucket is keyed by its task, the file name as
+// the producer gave it and three interned label symbols, not by four
+// strings. Matching is task-local, so the matcher's probes
+// (JoinEntriesForJob, TaskTransfersByKey) route to exactly one shard.
 //
 // The time order of each arena kind is one store-wide segmented index:
 // rows land in a mutable tail, and the tail seals into an immutable sorted
@@ -171,44 +171,26 @@ func (s *Store) PutJob(j *records.JobRecord) {
 	}
 }
 
-// PutFile ingests a JEDI file-table row, interning its join attributes,
-// and binds it to its candidate bucket — the events of its task with the
-// same join key — so the matcher's probe never re-hashes the strings. A
+// PutFile ingests a JEDI file-table row, interning its join labels, and
+// binds it to its candidate bucket — the events of its task with the same
+// join key — so the matcher's probe never hashes the row's key again. A
 // row whose key has no event yet is bound when the first one arrives. The
-// record is copied into its shard's arena.
+// record is copied into its shard's arena, its LFN as given.
 func (s *Store) PutFile(f *records.FileRecord) {
 	cp := *f
-	key := symKey{
-		lfn:        s.strings.sym(cp.LFN),
-		scope:      s.strings.sym(cp.Scope),
-		dataset:    s.strings.sym(cp.Dataset),
-		prodDBlock: s.strings.sym(cp.ProdDBlock),
-	}
-	cp.LFN = s.strings.strs[key.lfn]
-	cp.Scope = s.strings.strs[key.scope]
-	cp.Dataset = s.strings.strs[key.dataset]
-	cp.ProdDBlock = s.strings.strs[key.prodDBlock]
+	key := s.bucketKey(cp.JediTaskID, cp.LFN, &cp.Scope, &cp.Dataset, &cp.ProdDBlock)
 	s.shards[s.shardFor(cp.JediTaskID)].putFile(cp, key)
 	s.pendFiles++
 }
 
-// PutTransfer ingests a transfer event, interning its join attributes and
-// endpoint/activity labels. Events carrying a jeditaskid are routed to
-// their task's shard (keeping the matcher's candidate buckets
-// shard-complete); task-less background events are spread round-robin for
-// balance — no task-local index ever sees them.
+// PutTransfer ingests a transfer event, interning its join labels and its
+// endpoint and activity labels; its LFN is stored as given. Events
+// carrying a jeditaskid are routed to their task's shard (keeping the
+// matcher's candidate buckets shard-complete); task-less background events
+// are spread round-robin for balance — no task-local index ever sees them.
 func (s *Store) PutTransfer(ev *records.TransferEvent) {
 	cp := *ev
-	key := symKey{
-		lfn:        s.strings.sym(cp.LFN),
-		scope:      s.strings.sym(cp.Scope),
-		dataset:    s.strings.sym(cp.Dataset),
-		prodDBlock: s.strings.sym(cp.ProdDBlock),
-	}
-	cp.LFN = s.strings.strs[key.lfn]
-	cp.Scope = s.strings.strs[key.scope]
-	cp.Dataset = s.strings.strs[key.dataset]
-	cp.ProdDBlock = s.strings.strs[key.prodDBlock]
+	key := s.bucketKey(cp.JediTaskID, cp.LFN, &cp.Scope, &cp.Dataset, &cp.ProdDBlock)
 	cp.SourceRSE = s.strings.canon(cp.SourceRSE)
 	cp.DestinationRSE = s.strings.canon(cp.DestinationRSE)
 	cp.SourceSite = s.strings.canon(cp.SourceSite)
@@ -228,6 +210,20 @@ func (s *Store) PutTransfer(ev *records.TransferEvent) {
 	if s.evIdx.add(sh.putTransfer(cp, key), seq) {
 		s.flushIngestCounters()
 	}
+}
+
+// bucketKey interns a record's three join labels in place, replacing each
+// with its canonical backing, and returns the record's bucket key.
+func (s *Store) bucketKey(task int64, lfn string, scope, dataset, prodDBlock *string) bucketKey {
+	k := bucketKey{
+		task:       task,
+		lfn:        lfn,
+		scope:      s.strings.sym(*scope),
+		dataset:    s.strings.sym(*dataset),
+		prodDBlock: s.strings.sym(*prodDBlock),
+	}
+	*scope, *dataset, *prodDBlock = s.strings.strs[k.scope], s.strings.strs[k.dataset], s.strings.strs[k.prodDBlock]
+	return k
 }
 
 // Freeze finalizes the store: it seals both tails and compacts each time
@@ -391,8 +387,9 @@ func (s *Store) TransferCount() int {
 	return n
 }
 
-// InternedStrings reports the number of distinct strings in the intern
-// table — observability for the string-leak contract of Reset.
+// InternedStrings reports the number of distinct labels in the intern
+// table (file names are not interned) — observability for the string-leak
+// contract of Reset.
 func (s *Store) InternedStrings() int { return s.strings.size() }
 
 // TransfersWithTaskID counts events that retained a valid jeditaskid (the
@@ -467,11 +464,9 @@ func (s *Store) TransfersByTaskID(jedi int64) []*records.TransferEvent {
 // key — the per-file probe of the indexed matcher, answered entirely by the
 // task's shard. Events without a valid jeditaskid are never in this index,
 // preserving the paper's "transfers with a valid jeditaskid" pre-selection.
+// The key's LFN is compared by content, so any backing of it finds the
+// bucket.
 func (s *Store) TaskTransfersByKey(jedi int64, key JoinKey) []*records.TransferEvent {
-	lfn, ok := s.strings.lookup(key.LFN)
-	if !ok {
-		return nil
-	}
 	scope, ok := s.strings.lookup(key.Scope)
 	if !ok {
 		return nil
@@ -484,8 +479,8 @@ func (s *Store) TaskTransfersByKey(jedi int64, key JoinKey) []*records.TransferE
 	if !ok {
 		return nil
 	}
-	sk := taskSymKey{jedi, symKey{lfn, scope, ds, pdb}}
-	if b := s.shards[s.shardFor(jedi)].evByTaskKey[sk]; b != nil {
+	bk := bucketKey{task: jedi, lfn: key.LFN, scope: scope, dataset: ds, prodDBlock: pdb}
+	if b := s.shards[s.shardFor(jedi)].evByTaskKey[bk]; b != nil {
 		return *b
 	}
 	return nil

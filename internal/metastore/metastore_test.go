@@ -1,6 +1,8 @@
 package metastore
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"panrucio/internal/records"
@@ -118,6 +120,40 @@ func TestJoinKeyIndices(t *testing.T) {
 	counts[records.AnalysisDownload] = 99 // callers get a copy
 	if s.TaskTransfersByActivity()[records.AnalysisDownload] != 4 {
 		t.Error("TaskTransfersByActivity exposed internal state")
+	}
+}
+
+// TestInternTableHoldsLabelsOnly pins the intern table to the labels: a
+// file name, unique to its file, is stored as given, so files under one
+// label set leave the table at the label count however many there are, and
+// any backing of a stored LFN finds its bucket.
+func TestInternTableHoldsLabelsOnly(t *testing.T) {
+	s := New()
+	const task = 5
+	for i := int64(1); i <= 100; i++ {
+		lfn := fmt.Sprintf("user.x.ds._%06d.root", i)
+		s.PutFile(&records.FileRecord{
+			PandaID: i, JediTaskID: task, LFN: lfn,
+			Scope: "user.x", Dataset: "user.x.ds", ProdDBlock: "user.x.ds",
+		})
+		s.PutTransfer(&records.TransferEvent{
+			EventID: i, JediTaskID: task, LFN: lfn,
+			Scope: "user.x", Dataset: "user.x.ds", ProdDBlock: "user.x.ds",
+			SourceRSE: "A_DATADISK", DestinationRSE: "B_DATADISK",
+			SourceSite: "A", DestinationSite: "B", Activity: records.AnalysisDownload,
+		})
+		s.PutJob(&records.JobRecord{PandaID: i, JediTaskID: task, ComputingSite: "B"})
+	}
+	// user.x, user.x.ds, the two RSEs, the two sites and the activity.
+	if got := s.InternedStrings(); got != 7 {
+		t.Fatalf("InternedStrings = %d after 100 files under one label set, want the 7 labels", got)
+	}
+	f := s.FilesForJob(42, task)[0]
+	got := s.TaskTransfersByKey(task, JoinKey{
+		LFN: strings.Clone(f.LFN), Scope: f.Scope, Dataset: f.Dataset, ProdDBlock: f.ProdDBlock,
+	})
+	if len(got) != 1 || got[0].EventID != 42 {
+		t.Fatalf("TaskTransfersByKey with a copy of %q = %v, want event 42", f.LFN, got)
 	}
 }
 

@@ -21,7 +21,7 @@ type shard struct {
 	// order. Each bucket is a slot of the buckets arena, so its address is
 	// stable and join entries can point at it while events keep arriving.
 	buckets     arena[[]*records.TransferEvent]
-	evByTaskKey map[taskSymKey]*[]*records.TransferEvent
+	evByTaskKey map[bucketKey]*[]*records.TransferEvent
 
 	// The file rows, each with its candidate bucket (nil while unbound),
 	// grouped by (pandaid, jeditaskid) in ingestion order. A group sits in
@@ -43,21 +43,21 @@ type shard struct {
 func newShard() *shard {
 	return &shard{
 		evByTask:    make(map[int64][]*records.TransferEvent),
-		evByTaskKey: make(map[taskSymKey]*[]*records.TransferEvent),
+		evByTaskKey: make(map[bucketKey]*[]*records.TransferEvent),
 		bound:       make(map[pandaTask][]JoinEntry),
 		unbound:     make(map[pandaTask][]JoinEntry),
 		parked:      make(map[int64][]uint32),
 	}
 }
 
-// putFile ingests one file row (already canonicalized by the store); key
-// is the row's interned join key. The row is bound to its candidate
+// putFile ingests one file row (its labels already canonicalized by the
+// store); key is the row's bucket key. The row is bound to its candidate
 // bucket here, or parked until the key's first event creates one.
-func (sh *shard) putFile(f records.FileRecord, key symKey) {
+func (sh *shard) putFile(f records.FileRecord, key bucketKey) {
 	row := uint32(sh.files.len())
 	e := JoinEntry{File: sh.files.put(f)}
 	if f.JediTaskID != 0 {
-		e.bucket = sh.evByTaskKey[taskSymKey{f.JediTaskID, key}]
+		e.bucket = sh.evByTaskKey[key]
 		if e.bucket == nil {
 			sh.parked[f.JediTaskID] = append(sh.parked[f.JediTaskID], row)
 		}
@@ -77,18 +77,17 @@ func (sh *shard) putFile(f records.FileRecord, key symKey) {
 	}
 }
 
-// putTransfer ingests one event row (already canonicalized by the store);
-// key is the event's interned join key. It returns the row's arena
+// putTransfer ingests one event row (its labels already canonicalized by
+// the store); key is the event's bucket key. It returns the row's arena
 // address.
-func (sh *shard) putTransfer(ev records.TransferEvent, key symKey) *records.TransferEvent {
+func (sh *shard) putTransfer(ev records.TransferEvent, key bucketKey) *records.TransferEvent {
 	p := sh.events.put(ev)
 	if ev.JediTaskID != 0 {
 		sh.evByTask[ev.JediTaskID] = append(sh.evByTask[ev.JediTaskID], p)
-		tk := taskSymKey{ev.JediTaskID, key}
-		b := sh.evByTaskKey[tk]
+		b := sh.evByTaskKey[key]
 		if b == nil {
 			b = sh.buckets.put(nil)
-			sh.evByTaskKey[tk] = b
+			sh.evByTaskKey[key] = b
 			sh.bind(p, b)
 		}
 		*b = append(*b, p)
@@ -99,7 +98,9 @@ func (sh *shard) putTransfer(ev records.TransferEvent, key symKey) *records.Tran
 // bind points the parked entries of ev's task that share ev's join key at
 // the key's new bucket b, moves each entry's group to bound if it is not
 // there yet, and takes the rows off the task's parked list. Both rows hold
-// canonical strings, so equal keys compare by pointer.
+// canonical labels, so equal labels compare by pointer; the LFNs compare by
+// content, which is a pointer compare too when, as in a simulated run,
+// every record of a file carries its producer's one name.
 func (sh *shard) bind(ev *records.TransferEvent, b *[]*records.TransferEvent) {
 	list := sh.parked[ev.JediTaskID]
 	kept := list[:0]

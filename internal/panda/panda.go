@@ -322,8 +322,9 @@ func (s *System) SubmitTask(spec TaskSpec) (*Task, error) {
 			Task:     t,
 			Creation: s.eng.Now(),
 		}
-		for k := 0; k < spec.FilesPerJob; k++ {
-			j.Inputs = append(j.Inputs, pool[(i*spec.FilesPerJob+k)%len(pool)])
+		j.Inputs = make([]*rucio.FileInfo, spec.FilesPerJob)
+		for k := range j.Inputs {
+			j.Inputs[k] = pool[(i*spec.FilesPerJob+k)%len(pool)]
 		}
 		j.DirectIO = spec.Label == records.LabelUser && taskRNG.Bool(s.opts.DirectIOFraction)
 		j.Site = s.broker(j, taskRNG)
@@ -578,7 +579,7 @@ func (s *System) finishPayload(j *Job, jr *simtime.RNG) {
 		outSize = 1e6
 	}
 	out := &rucio.FileInfo{
-		LFN:        fmt.Sprintf("%s._%010d.root", j.Task.OutputDS, j.PandaID),
+		LFN:        outputLFN(j.Task.OutputDS, j.PandaID),
 		Scope:      j.Task.Spec.OutputScope,
 		Dataset:    j.Task.OutputDS,
 		ProdDBlock: j.Task.OutputDS,
@@ -607,6 +608,19 @@ func (s *System) finishPayload(j *Job, jr *simtime.RNG) {
 		jedi = j.Task.JediTaskID
 	}
 	s.ruc.Upload(out, j.Site, rse.Name, activity, jedi, func(*records.TransferEvent) { finish() })
+}
+
+// outputLFN names a job's output file, fmt's "%s._%010d.root" of the
+// task's output dataset and the pandaid (positive, like every pandaid),
+// in one allocation.
+func outputLFN(dataset string, pandaID int64) string {
+	var digits [20]byte
+	i := len(digits)
+	for n := pandaID; n > 0 || i > len(digits)-10; n /= 10 {
+		i--
+		digits[i] = byte('0' + n%10)
+	}
+	return dataset + "._" + string(digits[i:]) + ".root"
 }
 
 // terminal releases the slot, tallies, and — when the whole task is done —
