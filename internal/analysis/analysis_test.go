@@ -281,11 +281,11 @@ func TestTopRoutesAndFigure(t *testing.T) {
 	if got := RouteEvents(evs, Route{"A", "B"}); len(got) != 1 {
 		t.Errorf("RouteEvents = %d", len(got))
 	}
-	figs := BandwidthFigure(store, false, 2, 0, 100, 10)
+	figs := BandwidthFigure(evs, false, 2, 0, 100, 10)
 	if len(figs) != 2 || figs[0].Name != "A -> B" {
 		t.Errorf("figure series = %+v", figs)
 	}
-	loc := BandwidthFigure(store, true, 2, 0, 100, 10)
+	loc := BandwidthFigure(evs, true, 2, 0, 100, 10)
 	if len(loc) != 1 || !strings.Contains(loc[0].Name, "local @ A") {
 		t.Errorf("local figure = %+v", loc)
 	}

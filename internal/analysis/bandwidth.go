@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
-	"panrucio/internal/metastore"
 	"panrucio/internal/records"
 	"panrucio/internal/report"
 	"panrucio/internal/simtime"
@@ -123,18 +121,15 @@ func TopRoutes(events []*records.TransferEvent, local bool, k int) []Route {
 }
 
 // BandwidthFigure builds the Fig. 7 (remote) or Fig. 8 (local) panels: the
-// top-k routes of the requested locality with their binned bandwidth
-// series. The window is resolved against the metastore's StartedAt index
-// (a binary-search range slice), not a scan of the event log.
-func BandwidthFigure(store *metastore.Store, local bool, k int, from, to, bucket simtime.VTime) []*report.Series {
-	events := store.Transfers(from, to)
-	routes := TopRoutes(events, local, k)
+// top-k routes of the requested locality among the events, each with its
+// flow binned over [from, to).
+func BandwidthFigure(events []*records.TransferEvent, local bool, k int, from, to, bucket simtime.VTime) []*report.Series {
 	var out []*report.Series
-	for _, r := range routes {
+	for _, r := range TopRoutes(events, local, k) {
 		s := BandwidthSeries(RouteEvents(events, r), from, to, bucket)
 		s.Name = r.String()
 		if r.Local() {
-			s.Name = fmt.Sprintf("local @ %s", r.Src)
+			s.Name = "local @ " + r.Src
 		}
 		out = append(out, s)
 	}

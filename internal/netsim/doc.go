@@ -3,7 +3,10 @@
 // nominal bandwidth (from the topology), an AR(1) stochastic fluctuation
 // process, and a diurnal modulation; concurrent transfers on a link share
 // its instantaneous capacity fairly, and a per-link concurrency cap queues
-// the excess (an FTS-like admission discipline).
+// the excess (an FTS-like admission discipline). The queue is a FIFO with
+// no cancellation: a started transfer always completes, and a freed slot
+// goes to the queue's head, so admission never scans the waiting
+// transfers.
 //
 // This reproduces the phenomenology behind the paper's Figs. 7 and 8:
 // transfer rates that are unsteady at short timescales, asymmetric between

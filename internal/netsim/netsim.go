@@ -75,7 +75,6 @@ type Transfer struct {
 
 	remaining float64
 	done      func(*Transfer)
-	cancelled bool
 }
 
 // QueueDelay is the time the transfer spent waiting for a link slot.
@@ -111,21 +110,17 @@ type link struct {
 	factorAt   simtime.VTime
 	lastUpdate simtime.VTime
 
+	// active holds the transfers sharing the link; queue[head:] is the
+	// FIFO of transfers waiting for a slot, admitted from its head.
 	active []*Transfer
 	queue  []*Transfer
+	head   int
 
 	// wake is the handle of the link's next service event, and onWake the
 	// callback every wake runs, built once with the link.
 	wake   simtime.Event
 	onWake func()
 	rng    *simtime.RNG
-}
-
-// outage is a scheduled degradation window on every link touching a site.
-type outage struct {
-	site     string
-	from, to simtime.VTime
-	factor   float64
 }
 
 // Network is the simulation-wide link mesh. Not safe for concurrent use;
@@ -136,9 +131,8 @@ type Network struct {
 	opts Options
 	rng  *simtime.RNG
 
-	links   map[linkKey]*link
-	nextID  int64
-	outages []outage
+	links  map[linkKey]*link
+	nextID int64
 
 	// Aggregate counters for quick inspection and benchmarks.
 	CompletedTransfers int64
@@ -151,9 +145,6 @@ func New(eng *simtime.Engine, grid *topology.Grid, rng *simtime.RNG, opts Option
 	opts.fill()
 	return &Network{eng: eng, grid: grid, opts: opts, rng: rng, links: make(map[linkKey]*link)}
 }
-
-// Options reports the effective (defaulted) options.
-func (n *Network) Options() Options { return n.opts }
 
 func (n *Network) linkFor(src, dst string) *link {
 	k := linkKey{src, dst}
@@ -209,48 +200,10 @@ func (n *Network) advanceFactor(l *link, t simtime.VTime) {
 	l.factorAt += simtime.VTime(steps) * n.opts.FluctuationInterval
 }
 
-// InjectOutage throttles every link touching the site to factor times its
-// normal rate during [from, to) — failure injection for resilience
-// studies (a storage-element brownout, a cut WAN path). factor 0 clamps to
-// the 1 B/s floor, stalling the site's transfers without deadlocking the
-// simulation. Wake events are scheduled at the window edges so in-flight
-// transfers reprice promptly.
-func (n *Network) InjectOutage(site string, from, to simtime.VTime, factor float64) {
-	if to <= from || factor < 0 {
-		return
-	}
-	n.outages = append(n.outages, outage{site: site, from: from, to: to, factor: factor})
-	reprice := func() {
-		for _, l := range n.links {
-			if (l.key.src == site || l.key.dst == site) && len(l.active) > 0 {
-				n.service(l)
-			}
-		}
-	}
-	// Neither edge is in the past, so At cannot fail.
-	if from >= n.eng.Now() {
-		_ = n.eng.At(from, reprice)
-	}
-	if to >= n.eng.Now() {
-		_ = n.eng.At(to, reprice)
-	}
-}
-
-// outageFactor is the product of all outage factors hitting a link at t.
-func (n *Network) outageFactor(l *link, t simtime.VTime) float64 {
-	f := 1.0
-	for _, o := range n.outages {
-		if t >= o.from && t < o.to && (l.key.src == o.site || l.key.dst == o.site) {
-			f *= o.factor
-		}
-	}
-	return f
-}
-
 // rate returns the instantaneous total link rate in bytes/s.
 func (n *Network) rate(l *link, t simtime.VTime) float64 {
 	n.advanceFactor(l, t)
-	r := l.nominal * l.factor * n.diurnal(l, t) * n.outageFactor(l, t)
+	r := l.nominal * l.factor * n.diurnal(l, t)
 	if r < 1 {
 		r = 1
 	}
@@ -283,19 +236,6 @@ func (n *Network) Start(src, dst string, bytes int64, done func(*Transfer)) *Tra
 	return tr
 }
 
-// Cancel aborts a queued or in-flight transfer. Completed transfers are
-// unaffected. Cancelled transfers never invoke done.
-func (n *Network) Cancel(tr *Transfer) {
-	if tr.Finished != 0 {
-		return
-	}
-	tr.cancelled = true
-	// The link sweep on next wake removes it; force a wake now for
-	// promptness of queued peers.
-	l := n.linkFor(tr.Src, tr.Dst)
-	n.service(l)
-}
-
 // perRate is the per-transfer share of the link at time t: fair share of
 // the instantaneous link rate, bounded by the storage-door stream cap.
 func (n *Network) perRate(l *link, t simtime.VTime, active int) float64 {
@@ -325,43 +265,44 @@ func (n *Network) service(l *link) {
 	now := n.eng.Now()
 	n.progress(l, now)
 
-	// Sweep completions and cancellations. Callbacks are deferred to a
-	// same-instant engine event: invoking them here could re-enter service
-	// (a callback that starts another transfer on this link) while the
-	// link state is mid-update.
+	// Sweep completions. Callbacks are deferred to a same-instant engine
+	// event: invoking them here could re-enter service (a callback that
+	// starts another transfer on this link) while the link state is
+	// mid-update.
 	kept := l.active[:0]
 	for _, tr := range l.active {
-		switch {
-		case tr.cancelled:
-			// dropped
-		case tr.remaining <= 0.5:
-			tr.Finished = now
-			n.CompletedTransfers++
-			n.CompletedBytes += tr.Bytes
-			if tr.done != nil {
-				tr := tr
-				n.eng.After(0, func() { tr.done(tr) })
-			}
-		default:
+		if tr.remaining > 0.5 {
 			kept = append(kept, tr)
+			continue
+		}
+		tr.Finished = now
+		n.CompletedTransfers++
+		n.CompletedBytes += tr.Bytes
+		if tr.done != nil {
+			n.eng.After(0, func() { tr.done(tr) })
 		}
 	}
 	l.active = kept
 
-	// Admit from queue.
-	qkept := l.queue[:0]
-	for _, tr := range l.queue {
-		if tr.cancelled {
-			continue
-		}
-		if len(l.active) < n.opts.MaxActivePerLink {
-			tr.Started = now
-			l.active = append(l.active, tr)
-		} else {
-			qkept = append(qkept, tr)
-		}
+	// Admit from the head of the FIFO while slots are free, so a call
+	// visits the active set and the transfers it admits, never the whole
+	// queue.
+	for l.head < len(l.queue) && len(l.active) < n.opts.MaxActivePerLink {
+		tr := l.queue[l.head]
+		l.queue[l.head] = nil
+		l.head++
+		tr.Started = now
+		l.active = append(l.active, tr)
 	}
-	l.queue = qkept
+	// Once the admitted prefix is at least half the queue, move the
+	// waiting transfers to the front, so the array is reused rather than
+	// regrown; a move copies no more entries than were admitted since the
+	// last one.
+	if l.head > 0 && 2*l.head >= len(l.queue) {
+		k := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[k:])
+		l.queue, l.head = l.queue[:k], 0
+	}
 
 	// Schedule the next wake: earliest completion at the current shared
 	// rate, capped at the fluctuation interval so rate changes take effect.
@@ -402,7 +343,7 @@ func (n *Network) ActiveTransfers() int {
 func (n *Network) QueuedTransfers() int {
 	total := 0
 	for _, l := range n.links {
-		total += len(l.queue)
+		total += len(l.queue) - l.head
 	}
 	return total
 }

@@ -116,41 +116,6 @@ func TestLocalFasterThanRemote(t *testing.T) {
 	}
 }
 
-func TestCancelQueuedAndActive(t *testing.T) {
-	eng := simtime.NewEngine(0, 0)
-	grid := topology.Default(topology.DefaultSpec{})
-	net := New(eng, grid, simtime.NewRNG(3).Split("net"), Options{MaxActivePerLink: 1})
-	activeDone, queuedDone := false, false
-	a := net.Start("PIC", "SPRACE", 10e9, func(*Transfer) { activeDone = true })
-	q := net.Start("PIC", "SPRACE", 10e9, func(*Transfer) { queuedDone = true })
-	net.Cancel(a)
-	net.Cancel(q)
-	eng.Run()
-	if activeDone || queuedDone {
-		t.Fatal("cancelled transfers invoked done")
-	}
-	if net.CompletedTransfers != 0 {
-		t.Errorf("completed=%d after cancelling everything", net.CompletedTransfers)
-	}
-}
-
-func TestCancelPromotesQueued(t *testing.T) {
-	eng := simtime.NewEngine(0, 0)
-	grid := topology.Default(topology.DefaultSpec{})
-	net := New(eng, grid, simtime.NewRNG(4).Split("net"), Options{MaxActivePerLink: 1})
-	a := net.Start("PIC", "SPRACE", 100e9, nil)
-	var finished bool
-	net.Start("PIC", "SPRACE", 1e9, func(*Transfer) { finished = true })
-	net.Cancel(a)
-	if net.ActiveTransfers() != 1 {
-		t.Fatalf("queued transfer not promoted after cancel: active=%d", net.ActiveTransfers())
-	}
-	eng.Run()
-	if !finished {
-		t.Fatal("promoted transfer never finished")
-	}
-}
-
 func TestThroughputVariesAcrossTime(t *testing.T) {
 	// Repeated identical transfers spread across a day should not all see
 	// the same throughput (AR(1) + diurnal modulation). Uncapped so the
@@ -284,77 +249,5 @@ func TestPerTransferCapBindsOnFastLinks(t *testing.T) {
 	}
 	if tr.Throughput() > 301e6 {
 		t.Errorf("throughput %.0f exceeds the 300 MB/s cap", tr.Throughput())
-	}
-}
-
-func TestOutageSlowsSiteTransfers(t *testing.T) {
-	run := func(withOutage bool) simtime.VTime {
-		eng := simtime.NewEngine(0, 0)
-		net := New(eng, topology.Default(topology.DefaultSpec{}), simtime.NewRNG(6).Split("net"), Options{})
-		if withOutage {
-			net.InjectOutage("SIGNET", 0, 10*simtime.Hour, 0.01)
-		}
-		var d simtime.VTime
-		net.Start("NDGF-T1", "SIGNET", 20e9, func(tr *Transfer) { d = tr.Duration() })
-		eng.Run()
-		return d
-	}
-	normal, degraded := run(false), run(true)
-	if degraded < 10*normal {
-		t.Errorf("outage too mild: normal=%ds degraded=%ds", normal, degraded)
-	}
-}
-
-func TestOutageWindowRespected(t *testing.T) {
-	eng := simtime.NewEngine(0, 0)
-	net := New(eng, topology.Default(topology.DefaultSpec{}), simtime.NewRNG(7).Split("net"), Options{})
-	// Outage long past: transfers now are unaffected.
-	net.InjectOutage("SIGNET", 100*simtime.Day, 101*simtime.Day, 0.001)
-	var d simtime.VTime
-	net.Start("NDGF-T1", "SIGNET", 5e9, func(tr *Transfer) { d = tr.Finished })
-	eng.Run()
-	if d > simtime.Hour {
-		t.Errorf("future outage affected a present transfer: finished at %d", d)
-	}
-	// Other sites unaffected during an active outage.
-	eng2 := simtime.NewEngine(0, 0)
-	net2 := New(eng2, topology.Default(topology.DefaultSpec{}), simtime.NewRNG(7).Split("net"), Options{})
-	net2.InjectOutage("SIGNET", 0, simtime.Day, 0.001)
-	var other simtime.VTime
-	net2.Start("CERN-PROD", "BNL-ATLAS", 5e9, func(tr *Transfer) { other = tr.Finished })
-	eng2.Run()
-	if other > simtime.Hour {
-		t.Errorf("outage leaked to unrelated link: finished at %d", other)
-	}
-}
-
-func TestOutageDegenerateArgsIgnored(t *testing.T) {
-	eng := simtime.NewEngine(0, 0)
-	net := New(eng, topology.Default(topology.DefaultSpec{}), simtime.NewRNG(8).Split("net"), Options{})
-	net.InjectOutage("SIGNET", 100, 100, 0.5) // empty window
-	net.InjectOutage("SIGNET", 0, 100, -1)    // negative factor
-	if len(net.outages) != 0 {
-		t.Errorf("degenerate outages stored: %d", len(net.outages))
-	}
-}
-
-func TestOutageRepricesInFlight(t *testing.T) {
-	// A transfer that starts healthy and hits an outage mid-flight slows
-	// down after the window opens.
-	eng := simtime.NewEngine(0, 0)
-	net := New(eng, topology.Default(topology.DefaultSpec{}), simtime.NewRNG(9).Split("net"), Options{})
-	var healthyDur simtime.VTime
-	net.Start("NDGF-T1", "SIGNET", 60e9, func(tr *Transfer) { healthyDur = tr.Duration() })
-	eng.Run()
-
-	eng2 := simtime.NewEngine(0, 0)
-	net2 := New(eng2, topology.Default(topology.DefaultSpec{}), simtime.NewRNG(9).Split("net"), Options{})
-	// Outage opens halfway through the healthy duration.
-	net2.InjectOutage("SIGNET", healthyDur/2, 100*simtime.Day, 0.01)
-	var hitDur simtime.VTime
-	net2.Start("NDGF-T1", "SIGNET", 60e9, func(tr *Transfer) { hitDur = tr.Duration() })
-	eng2.Run()
-	if hitDur < healthyDur*5 {
-		t.Errorf("mid-flight outage barely slowed the transfer: %ds vs %ds", hitDur, healthyDur)
 	}
 }

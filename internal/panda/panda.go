@@ -237,9 +237,6 @@ func NewSystem(eng *simtime.Engine, grid *topology.Grid, ruc *rucio.Rucio, rng *
 	return s
 }
 
-// Options reports the effective (defaulted) options.
-func (s *System) Options() Options { return s.opts }
-
 // splitRNG derives the child stream for label, reusing a pooled generator
 // when one is free. The stream is identical to s.rng.Split(label); callers
 // hand the generator back with releaseRNG once no further draws can occur.
@@ -308,7 +305,7 @@ func (s *System) SubmitTask(spec TaskSpec) (*Task, error) {
 	}
 	t := &Task{JediTaskID: s.nextTaskID(), Spec: spec}
 	t.OutputDS = fmt.Sprintf("%s.%d.out", spec.OutputScope, t.JediTaskID)
-	if _, err := s.ruc.Catalog().CreateDataset(spec.OutputScope, t.OutputDS, ""); err != nil {
+	if _, err := s.ruc.Catalog().CreateDataset(spec.OutputScope, t.OutputDS); err != nil {
 		return nil, err
 	}
 	s.SubmittedTasks++
@@ -436,14 +433,6 @@ func (s *System) site(name string) *siteState {
 func (s *System) SiteBacklog(site string) int {
 	if st := s.site(site); st != nil {
 		return len(st.backlog)
-	}
-	return 0
-}
-
-// SiteRunning reports the executing pilots at a site.
-func (s *System) SiteRunning(site string) int {
-	if st := s.site(site); st != nil {
-		return st.running
 	}
 	return 0
 }
@@ -579,7 +568,7 @@ func (s *System) finishPayload(j *Job, jr *simtime.RNG) {
 		outSize = 1e6
 	}
 	out := &rucio.FileInfo{
-		LFN:        outputLFN(j.Task.OutputDS, j.PandaID),
+		LFN:        rucio.FileName(j.Task.OutputDS, j.PandaID, 10, ".root"),
 		Scope:      j.Task.Spec.OutputScope,
 		Dataset:    j.Task.OutputDS,
 		ProdDBlock: j.Task.OutputDS,
@@ -608,19 +597,6 @@ func (s *System) finishPayload(j *Job, jr *simtime.RNG) {
 		jedi = j.Task.JediTaskID
 	}
 	s.ruc.Upload(out, j.Site, rse.Name, activity, jedi, func(*records.TransferEvent) { finish() })
-}
-
-// outputLFN names a job's output file, fmt's "%s._%010d.root" of the
-// task's output dataset and the pandaid (positive, like every pandaid),
-// in one allocation.
-func outputLFN(dataset string, pandaID int64) string {
-	var digits [20]byte
-	i := len(digits)
-	for n := pandaID; n > 0 || i > len(digits)-10; n /= 10 {
-		i--
-		digits[i] = byte('0' + n%10)
-	}
-	return dataset + "._" + string(digits[i:]) + ".root"
 }
 
 // terminal releases the slot, tallies, and — when the whole task is done —

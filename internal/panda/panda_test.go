@@ -2,8 +2,6 @@ package panda
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"testing"
 
 	"panrucio/internal/netsim"
@@ -43,7 +41,7 @@ func newFixture(seed int64, opts Options) *fixture {
 // seedDataset places a dataset with nfiles files of size each at the named
 // site's primary disk RSE.
 func (f *fixture) seedDataset(name, site string, nfiles int, size int64) {
-	f.ruc.Catalog().CreateDataset("data25", name, "")
+	f.ruc.Catalog().CreateDataset("data25", name)
 	rse, ok := f.grid.PrimaryRSE(site)
 	if !ok {
 		panic("no RSE at " + site)
@@ -154,38 +152,6 @@ func TestEmitTaskAllocatesNoRecord(t *testing.T) {
 	}
 	if jobs != 21*10 || files < 21*20 || job.JediTaskID != task.JediTaskID || file.JediTaskID != task.JediTaskID {
 		t.Fatalf("sinks saw %d jobs and %d files (last task ids %d, %d)", jobs, files, job.JediTaskID, file.JediTaskID)
-	}
-}
-
-// TestOutputLFNMatchesSprintf holds the output-file name builder to the
-// fmt form it replaces over random dataset names and positive pandaids.
-func TestOutputLFNMatchesSprintf(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ids := []int64{1, 9, 10, 999_999_999, 1_000_000_000, 6_580_000_001, 9_999_999_999, 10_000_000_000, math.MaxInt64}
-	for range 500 {
-		ids = append(ids, 1+rng.Int63n(1e11), 1+rng.Int63n(math.MaxInt64))
-	}
-	for _, id := range ids {
-		name := make([]rune, rng.Intn(40))
-		for i := range name {
-			name[i] = []rune("abcXYZ019._-/é✓")[rng.Intn(15)]
-		}
-		ds := string(name)
-		if got, want := outputLFN(ds, id), fmt.Sprintf("%s._%010d.root", ds, id); got != want {
-			t.Fatalf("outputLFN(%q, %d) = %q, want %q", ds, id, got, want)
-		}
-	}
-}
-
-var lfnSink string
-
-// TestOutputLFNAllocatesOnce pins the builder at one allocation, the name.
-func TestOutputLFNAllocatesOnce(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() {
-		lfnSink = outputLFN("user.out.100001.out", 6_580_000_001)
-	})
-	if allocs != 1 {
-		t.Fatalf("outputLFN allocates %v times, want 1", allocs)
 	}
 }
 
@@ -372,7 +338,7 @@ func TestLateStartSpansQueueAndWall(t *testing.T) {
 	f := newFixture(9, Options{LateStartProb: 0.999999, CacheHitProb: 1e-12, DirectIOFraction: 1e-12, RedundantPrestageProb: 1e-12, RemoteBrokerageProb: 1e-12})
 	// Unequal sizes: the payload starts after the small file lands while
 	// the big one is still moving.
-	f.ruc.Catalog().CreateDataset("data25", "data25.ds8", "")
+	f.ruc.Catalog().CreateDataset("data25", "data25.ds8")
 	rse, _ := f.grid.PrimaryRSE("SIGNET")
 	for i, size := range []int64{2e9, 120e9} {
 		file := &rucio.FileInfo{

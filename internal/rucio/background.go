@@ -174,7 +174,7 @@ func (b *Background) loop(mean simtime.VTime, fn func()) {
 func (b *Background) makeDataset(prefix, srcRSE string, p sizeProfile) []*FileInfo {
 	b.next++
 	name := fmt.Sprintf("ops.%s.%08d", prefix, b.next)
-	ds, err := b.r.catalog.CreateDataset("ops", name, "")
+	ds, err := b.r.catalog.CreateDataset("ops", name)
 	if err != nil {
 		return nil
 	}
@@ -188,7 +188,7 @@ func (b *Background) makeDataset(prefix, srcRSE string, p sizeProfile) []*FileIn
 			size = 1e6
 		}
 		f := &FileInfo{
-			LFN:        fmt.Sprintf("%s._%06d.root", name, i),
+			LFN:        FileName(name, int64(i), 6, ".root"),
 			Scope:      "ops",
 			Dataset:    name,
 			ProdDBlock: name,

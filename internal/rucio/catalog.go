@@ -20,12 +20,24 @@ type FileInfo struct {
 	replicas []replicaEntry
 }
 
+// FileName builds a file's LFN in one allocation: fmt's "%s._%0*d%s" of
+// the owning dataset, the file's number n (non-negative) zero-padded to
+// digits (at most 20), and ext.
+func FileName(dataset string, n int64, digits int, ext string) string {
+	var buf [20]byte
+	i := len(buf)
+	for ; n > 0 || i > len(buf)-digits; n /= 10 {
+		i--
+		buf[i] = byte('0' + n%10)
+	}
+	return dataset + "._" + string(buf[i:]) + ext
+}
+
 // Dataset groups files for bulk operations.
 type Dataset struct {
-	Name      string
-	Scope     string
-	Container string
-	Files     []*FileInfo
+	Name  string
+	Scope string
+	Files []*FileInfo
 }
 
 // TotalBytes sums the file sizes in the dataset.
@@ -55,12 +67,11 @@ type replicaEntry struct {
 	state uint8
 }
 
-// Catalog is the Rucio namespace: files, datasets, containers, replicas.
+// Catalog is the Rucio namespace: files, datasets, replicas.
 // Single-goroutine, like the rest of the DES.
 type Catalog struct {
-	files      map[string]*FileInfo // keyed by LFN (globally unique here)
-	datasets   map[string]*Dataset
-	containers map[string][]string // container -> dataset names
+	files    map[string]*FileInfo // keyed by LFN, which AddFile keeps unique
+	datasets map[string]*Dataset
 
 	// RSE name interning for replicaEntry, ids in first-seen order (a grid
 	// has at most a few hundred RSEs, far under the uint16 ceiling). New
@@ -72,10 +83,9 @@ type Catalog struct {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		files:      make(map[string]*FileInfo),
-		datasets:   make(map[string]*Dataset),
-		containers: make(map[string][]string),
-		rseIDs:     make(map[string]uint16),
+		files:    make(map[string]*FileInfo),
+		datasets: make(map[string]*Dataset),
+		rseIDs:   make(map[string]uint16),
 	}
 }
 
@@ -92,15 +102,12 @@ func (c *Catalog) rseID(rse string) uint16 {
 
 // CreateDataset registers an empty dataset DID. Creating an existing
 // dataset is an error.
-func (c *Catalog) CreateDataset(scope, name, container string) (*Dataset, error) {
+func (c *Catalog) CreateDataset(scope, name string) (*Dataset, error) {
 	if _, dup := c.datasets[name]; dup {
 		return nil, fmt.Errorf("rucio: dataset %q exists", name)
 	}
-	d := &Dataset{Name: name, Scope: scope, Container: container}
+	d := &Dataset{Name: name, Scope: scope}
 	c.datasets[name] = d
-	if container != "" {
-		c.containers[container] = append(c.containers[container], name)
-	}
 	return d, nil
 }
 
@@ -122,20 +129,11 @@ func (c *Catalog) AddFile(f *FileInfo) error {
 	return nil
 }
 
-// File resolves an LFN.
-func (c *Catalog) File(lfn string) (*FileInfo, bool) {
-	f, ok := c.files[lfn]
-	return f, ok
-}
-
 // Dataset resolves a dataset name.
 func (c *Catalog) Dataset(name string) (*Dataset, bool) {
 	d, ok := c.datasets[name]
 	return d, ok
 }
-
-// ContainerDatasets lists the dataset names attached to a container.
-func (c *Catalog) ContainerDatasets(name string) []string { return c.containers[name] }
 
 // NumFiles reports the catalogued file count.
 func (c *Catalog) NumFiles() int { return len(c.files) }
@@ -154,20 +152,6 @@ func (c *Catalog) SetReplica(f *FileInfo, rse string, st ReplicaState) {
 		}
 	}
 	f.replicas = append(f.replicas, replicaEntry{rse: id, state: uint8(st)})
-}
-
-// DropReplica removes the record of f's copy at an RSE.
-func (c *Catalog) DropReplica(f *FileInfo, rse string) {
-	id, ok := c.rseIDs[rse]
-	if !ok {
-		return
-	}
-	for i := range f.replicas {
-		if f.replicas[i].rse == id {
-			f.replicas = append(f.replicas[:i], f.replicas[i+1:]...)
-			return
-		}
-	}
 }
 
 // HasReplica reports whether an available replica of f exists at rse.

@@ -2,6 +2,8 @@ package rucio
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +12,10 @@ import (
 
 func TestCatalogDatasetLifecycle(t *testing.T) {
 	c := NewCatalog()
-	if _, err := c.CreateDataset("user", "user.ds1", "cont1"); err != nil {
+	if _, err := c.CreateDataset("user", "user.ds1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateDataset("user", "user.ds1", ""); err == nil {
+	if _, err := c.CreateDataset("user", "user.ds1"); err == nil {
 		t.Error("duplicate dataset accepted")
 	}
 	f := &FileInfo{LFN: "f1", Scope: "user", Dataset: "user.ds1", ProdDBlock: "user.ds1", Size: 100}
@@ -33,20 +35,14 @@ func TestCatalogDatasetLifecycle(t *testing.T) {
 	if !ok || len(ds.Files) != 1 || ds.TotalBytes() != 100 {
 		t.Fatalf("dataset state wrong: %+v", ds)
 	}
-	if got := c.ContainerDatasets("cont1"); len(got) != 1 || got[0] != "user.ds1" {
-		t.Errorf("container listing = %v", got)
-	}
 	if c.NumFiles() != 1 || c.NumDatasets() != 1 {
 		t.Error("counts wrong")
-	}
-	if _, ok := c.File("f1"); !ok {
-		t.Error("File lookup failed")
 	}
 }
 
 func TestReplicaStates(t *testing.T) {
 	c := NewCatalog()
-	c.CreateDataset("user", "d", "")
+	c.CreateDataset("user", "d")
 	f := &FileInfo{LFN: "f", Dataset: "d", Size: 1}
 	c.AddFile(f)
 	if c.HasReplica(f, "RSE_A") {
@@ -65,16 +61,11 @@ func TestReplicaStates(t *testing.T) {
 	if len(rses) != 2 || rses[0] != "RSE_A" || rses[1] != "RSE_B" {
 		t.Errorf("FileRSEs = %v, want sorted available pair", rses)
 	}
-	c.DropReplica(f, "RSE_A")
-	if c.HasReplica(f, "RSE_A") {
-		t.Error("dropped replica still present")
-	}
-	c.DropReplica(&FileInfo{LFN: "ghost"}, "RSE_A") // never added; must not panic
 }
 
 func TestDatasetCompleteness(t *testing.T) {
 	c := NewCatalog()
-	c.CreateDataset("user", "d", "")
+	c.CreateDataset("user", "d")
 	for i := 0; i < 3; i++ {
 		c.AddFile(&FileInfo{LFN: fmt.Sprintf("f%d", i), Dataset: "d", Size: 10})
 	}
@@ -94,7 +85,7 @@ func TestDatasetCompleteness(t *testing.T) {
 	if !c.DatasetCompleteAt(ds, "R") {
 		t.Error("complete dataset reported incomplete")
 	}
-	empty, _ := c.CreateDataset("user", "empty", "")
+	empty, _ := c.CreateDataset("user", "empty")
 	if c.DatasetCompleteAt(empty, "R") {
 		t.Error("empty dataset must never be complete")
 	}
@@ -103,7 +94,7 @@ func TestDatasetCompleteness(t *testing.T) {
 func TestDatasetSites(t *testing.T) {
 	grid := topology.Default(topology.DefaultSpec{})
 	c := NewCatalog()
-	c.CreateDataset("user", "d", "")
+	c.CreateDataset("user", "d")
 	f := &FileInfo{LFN: "f", Dataset: "d", Size: 10}
 	c.AddFile(f)
 	cern, _ := grid.PrimaryRSE("CERN-PROD")
@@ -122,7 +113,7 @@ func TestDatasetSites(t *testing.T) {
 func TestFileRSEsProperty(t *testing.T) {
 	prop := func(ids []uint8) bool {
 		c := NewCatalog()
-		c.CreateDataset("s", "d", "")
+		c.CreateDataset("s", "d")
 		f := &FileInfo{LFN: "f", Dataset: "d", Size: 1}
 		c.AddFile(f)
 		want := map[string]bool{}
@@ -147,5 +138,50 @@ func TestFileRSEsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileNameMatchesSprintf holds the LFN builder to the three fmt forms
+// it replaces, background's "%s._%06d.root", the seeded catalog's
+// "%s._%06d.pool.root" and panda's output "%s._%010d.root", over random
+// dataset names and non-negative file numbers.
+func TestFileNameMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ns := []int64{0, 1, 9, 10, 999_999, 1_000_000, 999_999_999, 1_000_000_000, 6_580_000_001, 9_999_999_999, 10_000_000_000, math.MaxInt64}
+	for range 500 {
+		ns = append(ns, rng.Int63n(100), rng.Int63n(1e11), rng.Int63n(math.MaxInt64))
+	}
+	forms := []struct {
+		digits int
+		ext    string
+		format string
+	}{
+		{6, ".root", "%s._%06d.root"},
+		{6, ".pool.root", "%s._%06d.pool.root"},
+		{10, ".root", "%s._%010d.root"},
+	}
+	for _, n := range ns {
+		name := make([]rune, rng.Intn(40))
+		for i := range name {
+			name[i] = []rune("abcXYZ019._-/é✓")[rng.Intn(15)]
+		}
+		ds := string(name)
+		for _, f := range forms {
+			if got, want := FileName(ds, n, f.digits, f.ext), fmt.Sprintf(f.format, ds, n); got != want {
+				t.Fatalf("FileName(%q, %d, %d, %q) = %q, want %q", ds, n, f.digits, f.ext, got, want)
+			}
+		}
+	}
+}
+
+var nameSink string
+
+// TestFileNameAllocatesOnce pins the builder at one allocation, the name.
+func TestFileNameAllocatesOnce(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		nameSink = FileName("user.out.100001.out", 6_580_000_001, 10, ".root")
+	})
+	if allocs != 1 {
+		t.Fatalf("FileName allocates %v times, want 1", allocs)
 	}
 }

@@ -1,6 +1,7 @@
-// Package rucio implements the data-management substrate: a three-level
-// DID namespace (files, datasets, containers), replicas on Rucio Storage
-// Elements, replication rules to destination RSEs, pilot
+// Package rucio implements the data-management substrate: a two-level
+// DID namespace (files in datasets), replicas on Rucio Storage Elements,
+// replication to a destination RSE through EnsureReplicas (the transfers a
+// rule evaluation would trigger, with no rule kept afterwards), pilot
 // stage-in/stage-out transfers, and background data-management traffic.
 // Completed transfers are emitted as records.TransferEvent through a
 // pluggable sink — the same event stream the paper queries from
@@ -8,7 +9,7 @@
 //
 // Replica lists live on each *FileInfo as (RSE id, state) entries, so the
 // catalog's replica operations take the file and never hash an LFN; the
-// files map remains for LFN uniqueness and File(lfn). New registers the
+// files map remains as AddFile's duplicate-LFN check. New registers the
 // grid's RSEs with the catalog first and in order, so catalog RSE id i is
 // grid RSE i and source selection scores replicas through topology's
 // per-RSE tables; equal scores go to the smaller RSE name.

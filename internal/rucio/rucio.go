@@ -1,8 +1,6 @@
 package rucio
 
 import (
-	"sort"
-
 	"panrucio/internal/netsim"
 	"panrucio/internal/records"
 	"panrucio/internal/simtime"
@@ -74,10 +72,6 @@ func New(eng *simtime.Engine, grid *topology.Grid, net *netsim.Network, rng *sim
 
 // Catalog exposes the DID namespace.
 func (r *Rucio) Catalog() *Catalog { return r.catalog }
-
-// SetSink replaces the event sink (used by tests and by the metastore when
-// it attaches after construction).
-func (r *Rucio) SetSink(s EventSink) { r.sink = s }
 
 // SequentialSite reports (memoizing a deterministic draw) whether a site's
 // storage serves pilot downloads sequentially.
@@ -335,16 +329,4 @@ func (r *Rucio) Upload(f *FileInfo, fromSite, dstRSE string, activity records.Ac
 			onComplete(ev)
 		}
 	})
-}
-
-// DiskRSEs lists all disk RSE names, sorted (helper for placement draws).
-func (r *Rucio) DiskRSEs() []string {
-	var out []string
-	for _, x := range r.grid.RSEs() {
-		if x.Kind == topology.Disk {
-			out = append(out, x.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

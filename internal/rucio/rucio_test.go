@@ -31,7 +31,7 @@ func newFixture(seed int64) *fixture {
 }
 
 func (f *fixture) addDataset(name string, sizes []int64, rse string) []*FileInfo {
-	f.r.Catalog().CreateDataset("user", name, "")
+	f.r.Catalog().CreateDataset("user", name)
 	for i, s := range sizes {
 		file := &FileInfo{
 			LFN: fmt.Sprintf("%s.f%d", name, i), Scope: "user",
@@ -187,8 +187,9 @@ func TestPilotFetchParallelSiteOverlaps(t *testing.T) {
 func TestChooseSourcePrefersLocalDisk(t *testing.T) {
 	f := newFixture(8)
 	cernDisk, _ := f.grid.PrimaryRSE("CERN-PROD")
-	files := f.addDataset("user.ds8", []int64{1e9}, cernDisk.Name)
-	// Also place at remote and at local tape; local disk must win.
+	files := f.addDataset("user.ds8", []int64{1e9, 1e9}, "")
+	// Place at local disk, remote and local tape; local disk must win.
+	f.r.Catalog().SetReplica(files[0], cernDisk.Name, ReplicaAvailable)
 	f.r.Catalog().SetReplica(files[0], "BNL-ATLAS_DATADISK", ReplicaAvailable)
 	f.r.Catalog().SetReplica(files[0], "CERN-PROD_MCTAPE", ReplicaAvailable)
 	src, ok := f.r.ChooseSource(files[0], "CERN-PROD")
@@ -196,10 +197,9 @@ func TestChooseSourcePrefersLocalDisk(t *testing.T) {
 		t.Errorf("chooseSource = %q, want local disk", src)
 	}
 	// Without a local replica, the best-connected remote wins over a weak one.
-	f.r.Catalog().DropReplica(files[0], cernDisk.Name)
-	f.r.Catalog().DropReplica(files[0], "CERN-PROD_MCTAPE")
-	f.r.Catalog().SetReplica(files[0], "WEIZMANN-T3_DATADISK", ReplicaAvailable)
-	src, _ = f.r.ChooseSource(files[0], "CERN-PROD")
+	f.r.Catalog().SetReplica(files[1], "BNL-ATLAS_DATADISK", ReplicaAvailable)
+	f.r.Catalog().SetReplica(files[1], "WEIZMANN-T3_DATADISK", ReplicaAvailable)
+	src, _ = f.r.ChooseSource(files[1], "CERN-PROD")
 	if src != "BNL-ATLAS_DATADISK" {
 		t.Errorf("chooseSource = %q, want best-connected remote", src)
 	}
@@ -207,7 +207,7 @@ func TestChooseSourcePrefersLocalDisk(t *testing.T) {
 
 func TestUploadRegistersAndEmits(t *testing.T) {
 	f := newFixture(9)
-	f.r.Catalog().CreateDataset("user", "user.out1", "")
+	f.r.Catalog().CreateDataset("user", "user.out1")
 	out := &FileInfo{LFN: "user.out1.f0", Scope: "user", Dataset: "user.out1", ProdDBlock: "user.out1", Size: 5e8}
 	f.r.Catalog().AddFile(out)
 	bnl, _ := f.grid.PrimaryRSE("BNL-ATLAS")
@@ -230,7 +230,7 @@ func TestUploadRegistersAndEmits(t *testing.T) {
 
 func TestTapeSourceAddsLatency(t *testing.T) {
 	f := newFixture(10)
-	f.r.Catalog().CreateDataset("ops", "ops.tape1", "")
+	f.r.Catalog().CreateDataset("ops", "ops.tape1")
 	file := &FileInfo{LFN: "ops.tape1.f0", Scope: "ops", Dataset: "ops.tape1", ProdDBlock: "ops.tape1", Size: 1e9}
 	f.r.Catalog().AddFile(file)
 	f.r.Catalog().SetReplica(file, "CERN-PROD_MCTAPE", ReplicaAvailable)
@@ -303,18 +303,5 @@ func TestBackgroundGeneratesTraffic(t *testing.T) {
 	}
 	if local == 0 {
 		t.Error("consolidation should produce same-site (diagonal) events")
-	}
-}
-
-func TestDiskRSEsSorted(t *testing.T) {
-	f := newFixture(14)
-	rses := f.r.DiskRSEs()
-	if len(rses) == 0 {
-		t.Fatal("no disk RSEs")
-	}
-	for i := 1; i < len(rses); i++ {
-		if rses[i-1] >= rses[i] {
-			t.Fatal("DiskRSEs not sorted")
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"panrucio/internal/corruption"
 	"panrucio/internal/sim"
 	"panrucio/internal/simtime"
-	"panrucio/internal/topology"
 	"panrucio/internal/verify"
 )
 
@@ -171,22 +170,6 @@ func BackgroundAxis(scales ...float64) Axis {
 		ax.Points = append(ax.Points, v)
 	}
 	return ax
-}
-
-// GridSizeAxis sweeps the topology scale: a compact grid (named exemplar
-// sites plus a handful of generics), the paper-scale default (~111 sites),
-// and a wide grid half again as large.
-func GridSizeAxis() Axis {
-	spec := func(t2, t3 int) func(*sim.Config) {
-		return func(cfg *sim.Config) {
-			cfg.Grid = topology.DefaultSpec{ExtraTier2: t2, ExtraTier3: t3}
-		}
-	}
-	return Axis{Name: "grid", Points: []Variation{
-		{Label: "grid=compact", X: 0, Apply: spec(10, 4)},
-		{Label: "grid=default", X: 1, Apply: func(cfg *sim.Config) { cfg.Grid = topology.DefaultSpec{} }},
-		{Label: "grid=wide", X: 2, Apply: spec(100, 46)},
-	}}
 }
 
 // CorruptionRamp is the canned robustness sweep behind experiment E14:

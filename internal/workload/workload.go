@@ -153,7 +153,7 @@ func (g *Generator) seedCatalog() {
 			scope = "mc25"
 		}
 		name := fmt.Sprintf("%s.13p6TeV.%08d.physics_Main.DAOD.r%05d", scope, 100000+i, i)
-		if _, err := g.ruc.Catalog().CreateDataset(scope, name, ""); err != nil {
+		if _, err := g.ruc.Catalog().CreateDataset(scope, name); err != nil {
 			g.Errors++
 			continue
 		}
@@ -164,7 +164,7 @@ func (g *Generator) seedCatalog() {
 				size = 1e6
 			}
 			file := &rucio.FileInfo{
-				LFN:        fmt.Sprintf("%s._%06d.pool.root", name, f),
+				LFN:        rucio.FileName(name, int64(f), 6, ".pool.root"),
 				Scope:      scope,
 				Dataset:    name,
 				ProdDBlock: name,
