@@ -136,7 +136,7 @@ func BenchmarkTable2aTransferCounts(b *testing.B) {
 	b.ResetTimer()
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		cmp := analysis.CompareMethods(newMatcher(s), s.Jobs)
+		cmp := analysis.CompareMethods(newMatcher(s), s.Jobs, 1)
 		pct = cmp.RM2.MatchedTransferPct()
 	}
 	b.ReportMetric(pct, "rm2_pct")
@@ -149,7 +149,7 @@ func BenchmarkTable2bJobCounts(b *testing.B) {
 	b.ResetTimer()
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		cmp := analysis.CompareMethods(newMatcher(s), s.Jobs)
+		cmp := analysis.CompareMethods(newMatcher(s), s.Jobs, 1)
 		pct = cmp.RM2.MatchedJobPct()
 	}
 	b.ReportMetric(pct, "rm2_jobs_pct")

@@ -7,16 +7,14 @@
 //
 // Usage:
 //
-//	repro [-seed N] [-days N] [-workers N] [-scale F] [-shards N]
-//	      [-segment-rows N] [-trace FILE] [-trace-every HOURS]
+//	repro [-seed N] [-days N] [-workers N] [-scale F] [-trace FILE]
+//	      [-trace-every HOURS]
 //
 // -scale multiplies the scenario's event volume: the default scenario is
 // calibrated to roughly 1/20 of the paper's production week, so -scale 20
 // is a paper-scale (1x) run and -scale 200 the 10x stress case. At scaled
 // volumes the shape checks still apply — the scenario's proportions are
-// scale-free. -shards sets the metastore shard count and -segment-rows
-// the segment-seal threshold per time index (0 = default); neither ever
-// changes output.
+// scale-free.
 //
 // -trace writes a JSONL run trace: one "checkpoint" event per
 // -trace-every virtual hours with ingest progress and throughput, plus a
@@ -38,14 +36,12 @@ import (
 )
 
 type options struct {
-	seed        int64
-	days        int
-	workers     int
-	scale       float64
-	shards      int
-	segmentRows int
-	trace       string
-	traceEvery  float64
+	seed       int64
+	days       int
+	workers    int
+	scale      float64
+	trace      string
+	traceEvery float64
 }
 
 // parseFlags parses the command line into options; kept separate from main
@@ -57,8 +53,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.days, "days", 8, "study-window length in days (paper: 8)")
 	fs.IntVar(&o.workers, "workers", 0, "matcher worker goroutines (0 = all cores, 1 = serial)")
 	fs.Float64Var(&o.scale, "scale", 1, "event-volume multiplier (20 = paper scale, 200 = 10x)")
-	fs.IntVar(&o.shards, "shards", 0, "metastore shard count (0 = default)")
-	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore segment-seal threshold per time index (0 = default)")
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL run trace to this file")
 	fs.Float64Var(&o.traceEvery, "trace-every", 6, "virtual hours between trace checkpoints (with -trace)")
 	if err := fs.Parse(args); err != nil {
@@ -72,12 +66,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.scale < 0 {
 		return nil, fmt.Errorf("-scale must be non-negative, got %g", o.scale)
-	}
-	if o.shards < 0 {
-		return nil, fmt.Errorf("-shards must be non-negative, got %d", o.shards)
-	}
-	if o.segmentRows < 0 {
-		return nil, fmt.Errorf("-segment-rows must be non-negative, got %d", o.segmentRows)
 	}
 	if o.traceEvery <= 0 {
 		return nil, fmt.Errorf("-trace-every must be > 0, got %g", o.traceEvery)
@@ -114,8 +102,6 @@ func (o *options) config() sim.Config {
 	cfg := sim.PaperConfig(o.seed)
 	cfg.Days = o.days
 	cfg.Scale = o.scale
-	cfg.Shards = o.shards
-	cfg.SegmentRows = o.segmentRows
 	return cfg
 }
 

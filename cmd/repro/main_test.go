@@ -13,31 +13,27 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.seed != 1 || o.days != 8 || o.workers != 0 || o.scale != 1 || o.shards != 0 ||
-		o.segmentRows != 0 {
+	if o.seed != 1 || o.days != 8 || o.workers != 0 || o.scale != 1 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 	cfg := o.config()
 	if cfg.Seed != 1 || cfg.Days != 8 {
 		t.Errorf("config did not carry the options: %+v", cfg)
 	}
-	if cfg.Scale != 1 || cfg.Shards != 0 || cfg.SegmentRows != 0 {
-		t.Errorf("default scale/shards/segment-rows should be neutral: %+v", cfg)
+	if cfg.Scale != 1 {
+		t.Errorf("default scale should be neutral: %+v", cfg)
 	}
 }
 
 func TestParseFlagsOverrides(t *testing.T) {
-	o, err := parseFlags([]string{"-seed", "7", "-days", "3", "-workers", "4", "-scale", "20",
-		"-shards", "4", "-segment-rows", "4096"})
+	o, err := parseFlags([]string{"-seed", "7", "-days", "3", "-workers", "4", "-scale", "20"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.seed != 7 || o.days != 3 || o.workers != 4 || o.scale != 20 || o.shards != 4 ||
-		o.segmentRows != 4096 {
+	if o.seed != 7 || o.days != 3 || o.workers != 4 || o.scale != 20 {
 		t.Errorf("overrides lost: %+v", o)
 	}
-	if cfg := o.config(); cfg.Seed != 7 || cfg.Days != 3 || cfg.Scale != 20 || cfg.Shards != 4 ||
-		cfg.SegmentRows != 4096 {
+	if cfg := o.config(); cfg.Seed != 7 || cfg.Days != 3 || cfg.Scale != 20 {
 		t.Errorf("config did not carry the overrides: %+v", cfg)
 	}
 }
@@ -49,8 +45,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-seed", "x"},
 		{"-scale", "-1"},
 		{"-workers", "-1"},
-		{"-shards", "-2"},
-		{"-segment-rows", "-1"},
 		{"-trace-every", "0"},
 		{"-trace-every", "-3"},
 		{"-unknown"},

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	serve [-addr host:port] [-seed N] [-days N] [-quick] [-scale X]
-//	      [-shards N] [-segment-rows N] [-match-workers N] [-cache N]
-//	      [-live] [-every HOURS] [-sweep-cap N] [-pprof]
+//	      [-match-workers N] [-cache N] [-live] [-every HOURS]
+//	      [-sweep-cap N] [-pprof]
 //
 // By default the scenario runs to completion first and the server answers
 // over the frozen store. With -live the scenario ingests in the background
@@ -45,8 +45,6 @@ type options struct {
 	days         int
 	quick        bool
 	scale        float64
-	shards       int
-	segmentRows  int
 	matchWorkers int
 	cache        int
 	live         bool
@@ -65,8 +63,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.days, "days", 0, "study-window length in days (0 = scenario default)")
 	fs.BoolVar(&o.quick, "quick", false, "serve the quick 2-day scenario instead of the paper window")
 	fs.Float64Var(&o.scale, "scale", 0, "event-volume multiplier (0 or 1 = calibrated default)")
-	fs.IntVar(&o.shards, "shards", 0, "metastore shards (0 = default); responses are byte-identical for any value")
-	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore segment-seal threshold per time index (0 = default)")
 	fs.IntVar(&o.matchWorkers, "match-workers", 0, "matcher goroutines per analysis (0 = all cores)")
 	fs.IntVar(&o.cache, "cache", 0, "result-cache entries (0 = default 256)")
 	fs.BoolVar(&o.live, "live", false, "serve while the scenario ingests (read windows at every -every hours)")
@@ -84,12 +80,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.scale < 0 {
 		return nil, fmt.Errorf("-scale must be >= 0, got %g", o.scale)
-	}
-	if o.shards < 0 {
-		return nil, fmt.Errorf("-shards must be >= 0, got %d", o.shards)
-	}
-	if o.segmentRows < 0 {
-		return nil, fmt.Errorf("-segment-rows must be >= 0, got %d", o.segmentRows)
 	}
 	if o.matchWorkers < 0 {
 		return nil, fmt.Errorf("-match-workers must be >= 0, got %d", o.matchWorkers)
@@ -117,8 +107,6 @@ func config(o *options) sim.Config {
 		cfg = sim.Config{Seed: o.seed, Days: o.days}
 	}
 	cfg.Scale = o.scale
-	cfg.Shards = o.shards
-	cfg.SegmentRows = o.segmentRows
 	return cfg
 }
 

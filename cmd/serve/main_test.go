@@ -26,8 +26,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-days", "-1"},
 		{"-quick", "-days", "3"},
 		{"-scale", "-0.5"},
-		{"-shards", "-1"},
-		{"-segment-rows", "-8"},
 		{"-match-workers", "-2"},
 		{"-cache", "-1"},
 		{"-sweep-cap", "-1"},
@@ -46,9 +44,8 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 
 func TestParseFlagsAccepts(t *testing.T) {
 	o, err := parseFlags([]string{
-		"-addr", ":0", "-quick", "-seed", "7", "-shards", "8",
-		"-segment-rows", "64", "-live", "-every", "12", "-cache", "32",
-		"-pprof",
+		"-addr", ":0", "-quick", "-seed", "7", "-live", "-every", "12",
+		"-cache", "32", "-pprof",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +54,7 @@ func TestParseFlagsAccepts(t *testing.T) {
 		t.Fatal("pprof flag not set")
 	}
 	cfg := config(o)
-	if cfg.Seed != 7 || cfg.Days != 2 || cfg.Shards != 8 || cfg.SegmentRows != 64 {
+	if cfg.Seed != 7 || cfg.Days != 2 {
 		t.Fatalf("config = %+v", cfg)
 	}
 }
@@ -65,7 +62,7 @@ func TestParseFlagsAccepts(t *testing.T) {
 // TestBuildQuickFrozenServes is the command-level smoke: the built server
 // answers over a real listener, including the metrics and pprof routes.
 func TestBuildQuickFrozenServes(t *testing.T) {
-	o, err := parseFlags([]string{"-quick", "-shards", "2", "-pprof"})
+	o, err := parseFlags([]string{"-quick", "-pprof"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestBuildQuickFrozenServes(t *testing.T) {
 
 // TestHandlerWithoutPprof checks the default: no profiling routes.
 func TestHandlerWithoutPprof(t *testing.T) {
-	o, err := parseFlags([]string{"-quick", "-shards", "2"})
+	o, err := parseFlags([]string{"-quick"})
 	if err != nil {
 		t.Fatal(err)
 	}

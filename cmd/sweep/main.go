@@ -7,8 +7,8 @@
 // Usage:
 //
 //	sweep [-grid robustness|seeds|mix|verify] [-seed N] [-scenarios N]
-//	      [-workers N] [-match-workers N] [-shards N] [-segment-rows N]
-//	      [-format markdown|json] [-trace FILE] [-trace-every HOURS]
+//	      [-workers N] [-match-workers N] [-format markdown|json]
+//	      [-trace FILE] [-trace-every HOURS]
 //
 // The canned grids are quick-scale (2-day scenarios): "robustness" is the
 // E14 corruption ramp, "seeds" an 8-way seed fan-out, "mix" the workload
@@ -38,8 +38,6 @@ type options struct {
 	scenarios    int
 	workers      int
 	matchWorkers int
-	shards       int
-	segmentRows  int
 	format       string
 	trace        string
 	traceEvery   float64
@@ -55,8 +53,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.scenarios, "scenarios", 0, "run only the first N scenarios of the grid (0 = all)")
 	fs.IntVar(&o.workers, "workers", 0, "concurrent scenarios (0 = all cores, 1 = serial)")
 	fs.IntVar(&o.matchWorkers, "match-workers", 1, "matcher goroutines per scenario (0 = all cores)")
-	fs.IntVar(&o.shards, "shards", 0, "metastore shards per worker store (0 = default)")
-	fs.IntVar(&o.segmentRows, "segment-rows", 0, "metastore segment-seal threshold per time index (0 = default)")
 	fs.StringVar(&o.format, "format", "markdown", "report format: markdown or json")
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL run trace to this file")
 	fs.Float64Var(&o.traceEvery, "trace-every", 6, "virtual hours between trace checkpoints (with -trace)")
@@ -79,12 +75,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if o.matchWorkers < 0 {
 		return nil, fmt.Errorf("-match-workers must be >= 0, got %d", o.matchWorkers)
-	}
-	if o.shards < 0 {
-		return nil, fmt.Errorf("-shards must be >= 0, got %d", o.shards)
-	}
-	if o.segmentRows < 0 {
-		return nil, fmt.Errorf("-segment-rows must be >= 0, got %d", o.segmentRows)
 	}
 	if o.traceEvery <= 0 {
 		return nil, fmt.Errorf("-trace-every must be > 0, got %g", o.traceEvery)
@@ -109,8 +99,6 @@ func run(o *options) (string, error) {
 	opt := sweep.Options{
 		Workers:      o.workers,
 		MatchWorkers: o.matchWorkers,
-		Shards:       o.shards,
-		SegmentRows:  o.segmentRows,
 	}
 	if o.trace != "" {
 		f, err := os.Create(o.trace)

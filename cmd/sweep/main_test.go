@@ -14,7 +14,7 @@ func TestParseFlagsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.grid != "robustness" || o.format != "markdown" || o.seed != 1 ||
-		o.scenarios != 0 || o.workers != 0 || o.matchWorkers != 1 || o.shards != 0 {
+		o.scenarios != 0 || o.workers != 0 || o.matchWorkers != 1 {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 }
@@ -26,8 +26,6 @@ func TestParseFlagsRejectsBadValues(t *testing.T) {
 		{"-scenarios", "-3"},
 		{"-workers", "-1"},
 		{"-match-workers", "-4"},
-		{"-shards", "-1"},
-		{"-segment-rows", "-1"},
 		{"-trace-every", "0"},
 		{"-trace-every", "-1"},
 		{"-bogus"},
@@ -59,8 +57,7 @@ func TestBuildGridSelectionAndTruncation(t *testing.T) {
 }
 
 // Acceptance: sweep output is byte-identical for -workers 1 and -workers 8
-// on the same scenario grid, in both formats, for any shard count crossed
-// with any segment size.
+// on the same scenario grid, in both formats, for any matcher fan-out.
 func TestOutputByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, format := range []string{"markdown", "json"} {
 		args := []string{"-scenarios", "2", "-format", format}
@@ -73,9 +70,9 @@ func TestOutputByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, extra := range [][]string{
-			{"-workers", "8", "-match-workers", "4", "-shards", "2"},
-			{"-workers", "8", "-shards", "8", "-segment-rows", "512"},
-			{"-workers", "2", "-shards", "1", "-segment-rows", "4096"},
+			{"-workers", "8", "-match-workers", "4"},
+			{"-workers", "8"},
+			{"-workers", "2"},
 		} {
 			parallel, err := parseFlags(append(args, extra...))
 			if err != nil {

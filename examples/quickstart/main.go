@@ -26,7 +26,7 @@ func main() {
 
 	// 3. Run the three matching strategies and print the Table 2 pair.
 	matcher := core.NewMatcher(res.Store)
-	cmp := analysis.CompareMethods(matcher, jobs)
+	cmp := analysis.CompareMethods(matcher, jobs, 1)
 	fmt.Println(cmp.TransferCountTable().Render())
 	fmt.Println(cmp.JobCountTable().Render())
 

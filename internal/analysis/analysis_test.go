@@ -90,10 +90,6 @@ func TestVolumeGrowthShape(t *testing.T) {
 	if pts[5].IngestPB <= pts[4].IngestPB*0.3 { // 2014 vs 2013 both shutdown
 		t.Logf("shutdown ingest: %v %v", pts[4], pts[5])
 	}
-	s := GrowthSeries(pts)
-	if len(s.Points) != len(pts) || s.MaxY() != byYear[2024] {
-		t.Error("series conversion wrong")
-	}
 	if !strings.Contains(GrowthReport(pts).Render(), "2024") {
 		t.Error("report missing final year")
 	}
@@ -159,7 +155,7 @@ func buildMatchedStore() (*metastore.Store, []*records.JobRecord) {
 func TestActivityBreakdownAndTables(t *testing.T) {
 	store, jobs := buildMatchedStore()
 	m := core.NewMatcher(store)
-	cmp := CompareMethods(m, jobs)
+	cmp := CompareMethods(m, jobs, 1)
 	if cmp.Exact.MatchedJobs != 2 {
 		t.Fatalf("exact matched %d jobs", cmp.Exact.MatchedJobs)
 	}
@@ -326,9 +322,6 @@ func TestThresholdCurves(t *testing.T) {
 	if tc.AboveThreshold(33) != 2 { // not a configured threshold
 		t.Errorf("unknown threshold should count all: %d", tc.AboveThreshold(33))
 	}
-	if tc.SuccessCount() != 1 {
-		t.Errorf("successes = %d", tc.SuccessCount())
-	}
 	// Monotone non-decreasing curves.
 	for c := 0; c < 4; c++ {
 		for i := 1; i < len(tc.Thresholds); i++ {
@@ -339,10 +332,6 @@ func TestThresholdCurves(t *testing.T) {
 	}
 	if !strings.Contains(tc.Table().Render(), "total") {
 		t.Error("table missing totals")
-	}
-	s := tc.Series(JobOKTaskOK)
-	if len(s.Points) != len(tc.Thresholds) {
-		t.Error("series length wrong")
 	}
 	for c := 0; c < 4; c++ {
 		if StatusCombo(c).String() == "combo(?)" {

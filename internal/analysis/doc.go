@@ -4,7 +4,7 @@
 // BuildHeatmap (E2), ActivityBreakdown (E3), MethodComparison's tables
 // (E4/E5), TopJobs (E6/E7), BandwidthSeries with TopRoutes (E8/E9),
 // BuildThresholdCurves (E10), and the Find*Case studies (E11–E13).
-// CompareMethods / CompareMethodsParallel run the three matching passes,
+// CompareMethods runs the three matching passes at any worker count,
 // and ShapeChecks evaluates the paper's qualitative claims on any run —
 // the same checks cmd/repro gates on and the sweep engine scores per
 // scenario.

@@ -94,15 +94,6 @@ func VolumeGrowth(cfg GrowthConfig) []GrowthPoint {
 	return out
 }
 
-// GrowthSeries converts the curve to a report series (x = year, y = PB).
-func GrowthSeries(points []GrowthPoint) *report.Series {
-	s := &report.Series{Name: "managed volume", XLabel: "year", YLabel: "PB"}
-	for _, p := range points {
-		s.Points = append(s.Points, report.Point{X: float64(p.Year), Y: p.TotalPB})
-	}
-	return s
-}
-
 // GrowthReport renders the Fig. 2 table.
 func GrowthReport(points []GrowthPoint) *report.Table {
 	t := &report.Table{

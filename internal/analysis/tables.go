@@ -74,14 +74,9 @@ type MethodComparison struct {
 	Exact, RM1, RM2 *core.Result
 }
 
-// CompareMethods runs all three strategies over the same job set.
-func CompareMethods(m *core.Matcher, jobs []*records.JobRecord) *MethodComparison {
-	return CompareMethodsParallel(m, jobs, 1)
-}
-
-// CompareMethodsParallel is CompareMethods with each pass sharded across
-// workers (<= 0 selects GOMAXPROCS; 1 runs inline).
-func CompareMethodsParallel(m *core.Matcher, jobs []*records.JobRecord, workers int) *MethodComparison {
+// CompareMethods runs all three strategies over the same job set, each
+// pass sharded across workers (<= 0 selects GOMAXPROCS).
+func CompareMethods(m *core.Matcher, jobs []*records.JobRecord, workers int) *MethodComparison {
 	return &MethodComparison{
 		Exact: m.RunParallel(jobs, core.Exact, workers),
 		RM1:   m.RunParallel(jobs, core.RM1, workers),

@@ -104,12 +104,6 @@ func (tc *ThresholdCurves) AboveThreshold(th float64) int {
 	return len(tc.pcts) - sort.SearchFloat64s(tc.pcts, th)
 }
 
-// SuccessCount is the number of matched jobs that finished (both combos
-// with a finished job).
-func (tc *ThresholdCurves) SuccessCount() int {
-	return tc.Totals[JobOKTaskOK] + tc.Totals[JobOKTaskFail]
-}
-
 // Table renders the Fig. 9 counts.
 func (tc *ThresholdCurves) Table() *report.Table {
 	t := &report.Table{
@@ -132,13 +126,4 @@ func (tc *ThresholdCurves) Table() *report.Table {
 	}
 	t.AddRow(row...)
 	return t
-}
-
-// Series converts one combo's curve into a report series.
-func (tc *ThresholdCurves) Series(combo StatusCombo) *report.Series {
-	s := &report.Series{Name: combo.String(), XLabel: "threshold %", YLabel: "jobs"}
-	for i, th := range tc.Thresholds {
-		s.Points = append(s.Points, report.Point{X: th, Y: float64(tc.Counts[combo][i])})
-	}
-	return s
 }

@@ -48,7 +48,6 @@ type Finding struct {
 
 // Detector inspects one matched job.
 type Detector interface {
-	Name() string
 	Detect(m *core.Match) []Finding
 }
 
@@ -57,9 +56,6 @@ type Detector interface {
 type ThresholdDetector struct {
 	Fraction float64
 }
-
-// Name implements Detector.
-func (d ThresholdDetector) Name() string { return "transfer-time-threshold" }
 
 // Detect implements Detector.
 func (d ThresholdDetector) Detect(m *core.Match) []Finding {
@@ -82,9 +78,6 @@ func (d ThresholdDetector) Detect(m *core.Match) []Finding {
 
 // RedundancyDetector flags duplicate transfers of the same file.
 type RedundancyDetector struct{}
-
-// Name implements Detector.
-func (RedundancyDetector) Name() string { return "redundancy" }
 
 // Detect implements Detector.
 func (RedundancyDetector) Detect(m *core.Match) []Finding {
@@ -111,9 +104,6 @@ func (RedundancyDetector) Detect(m *core.Match) []Finding {
 
 // SpanDetector flags transfers crossing the job's execution start.
 type SpanDetector struct{}
-
-// Name implements Detector.
-func (SpanDetector) Name() string { return "queue-wall-span" }
 
 // Detect implements Detector.
 func (SpanDetector) Detect(m *core.Match) []Finding {
@@ -144,9 +134,6 @@ type SequentialDetector struct {
 	// MinFiles is the smallest set considered (default 3).
 	MinFiles int
 }
-
-// Name implements Detector.
-func (SequentialDetector) Name() string { return "sequential-staging" }
 
 // Detect implements Detector.
 func (d SequentialDetector) Detect(m *core.Match) []Finding {
@@ -182,9 +169,6 @@ func (d SequentialDetector) Detect(m *core.Match) []Finding {
 type DisparityDetector struct {
 	MinRatio float64
 }
-
-// Name implements Detector.
-func (DisparityDetector) Name() string { return "throughput-disparity" }
 
 // Detect implements Detector.
 func (d DisparityDetector) Detect(m *core.Match) []Finding {
@@ -222,9 +206,6 @@ type MetadataDetector struct {
 	Grid *topology.Grid
 }
 
-// Name implements Detector.
-func (MetadataDetector) Name() string { return "metadata-loss" }
-
 // Detect implements Detector.
 func (d MetadataDetector) Detect(m *core.Match) []Finding {
 	if d.Grid == nil {
@@ -256,20 +237,17 @@ type Scanner struct {
 	detectors []Detector
 }
 
-// NewScanner builds a scanner; with no detectors it installs the default
-// set (all six, with paper-calibrated thresholds).
-func NewScanner(grid *topology.Grid, detectors ...Detector) *Scanner {
-	if len(detectors) == 0 {
-		detectors = []Detector{
-			ThresholdDetector{},
-			RedundancyDetector{},
-			SpanDetector{},
-			SequentialDetector{},
-			DisparityDetector{},
-			MetadataDetector{Grid: grid},
-		}
-	}
-	return &Scanner{detectors: detectors}
+// NewScanner builds a scanner running all six detectors with
+// paper-calibrated thresholds.
+func NewScanner(grid *topology.Grid) *Scanner {
+	return &Scanner{detectors: []Detector{
+		ThresholdDetector{},
+		RedundancyDetector{},
+		SpanDetector{},
+		SequentialDetector{},
+		DisparityDetector{},
+		MetadataDetector{Grid: grid},
+	}}
 }
 
 // Report is the outcome of one scan.

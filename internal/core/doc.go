@@ -19,7 +19,7 @@
 //     an invalid name.
 //
 // Entry points: NewMatcher over a metastore, then MatchJob for one job or
-// RunParallel for a job set (one worker runs it inline); RepairStore and
+// RunParallel for a job set at any worker count; RepairStore and
 // MeasureUplift apply RM2 site inferences and quantify the exact-match
 // uplift. The matcher probes the store's per-job join entries, which the
 // segmented store answers at any point mid-run — MatchJob needs no Freeze
@@ -30,11 +30,12 @@
 // counts it reads are all built at ingest, so its worker goroutines share
 // the store as it is, frozen or not, as long as no put runs beside them.
 //
-// Determinism invariant: RunParallel is one streaming pipeline in
-// which each worker matches one contiguous range of the job slice, the
-// aggregate is order-insensitive and Matches are sorted by pandaid (input
-// position breaking ties), so results are identical for any worker count,
-// byte for byte. The historical nested-loop matcher survives
-// as the unexported matchJobReference, the oracle of the randomized
-// equivalence tests and the baseline of the MatchRun benchmarks.
+// Determinism invariant: RunParallel takes one path for every worker
+// count. Each worker collects the matches of one contiguous range of the
+// job slice, one aggregator reads them in input order, and Matches are
+// stable-sorted by pandaid (input position breaking ties), so results are
+// identical for any worker count, byte for byte. The historical
+// nested-loop matcher survives as the unexported matchJobReference, the
+// oracle of the randomized equivalence tests and the baseline of the
+// MatchRun benchmarks.
 package core

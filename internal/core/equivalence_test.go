@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"panrucio/internal/metastore"
@@ -210,6 +212,89 @@ func TestDuplicatePandaIDDeterministicOrder(t *testing.T) {
 		for i := range got.Matches {
 			if got.Matches[i].Job != want.Matches[i].Job {
 				t.Fatalf("trial %d: match %d is a different duplicate row than the one-worker pass's", trial, i)
+			}
+		}
+	}
+}
+
+// TestRunParallelOrderMatchesOracle holds RunParallel's Matches to an order
+// the test computes itself: the matched job rows sorted by pandaid, input
+// position breaking ties. The inputs repeat pandaids in unsorted order, so
+// rows sharing a pandaid fall in different worker ranges, and pandaid 7
+// never matches, so unmatched rows sit between matched ones. The shuffled
+// case is long enough that an unstable sort reorders its ties.
+func TestRunParallelOrderMatchesOracle(t *testing.T) {
+	shuffled := make([]int64, 64)
+	r := rand.New(rand.NewSource(5))
+	for i := range shuffled {
+		shuffled[i] = []int64{9, 3, 7, 1, 5, 2}[r.Intn(6)]
+	}
+	cases := []struct {
+		name    string
+		pandaID []int64 // one job row per entry, in input order
+	}{
+		{"sorted with duplicates", []int64{1, 1, 2, 2, 3}},
+		{"reversed", []int64{9, 5, 3, 2, 1}},
+		{"unsorted duplicates", []int64{5, 3, 5, 1, 3, 9, 1, 5, 2, 3, 7}},
+		{"one pandaid", []int64{4, 4, 4, 4, 4, 4, 4}},
+		{"unmatched between matched", []int64{7, 3, 7, 7, 3, 1, 7, 1}},
+		{"shuffled", shuffled},
+	}
+	for _, tc := range cases {
+		store := metastore.New()
+		var jobs []*records.JobRecord
+		seen := map[int64]bool{}
+		for _, p := range tc.pandaID {
+			j := &records.JobRecord{
+				PandaID: p, JediTaskID: 100 + p, ComputingSite: "CERN-PROD",
+				Label: records.LabelUser, CreationTime: 1000, StartTime: 2000, EndTime: 5000,
+			}
+			store.PutJob(j)
+			jobs = append(jobs, j)
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			lfn := fmt.Sprintf("in%d", p)
+			store.PutFile(&records.FileRecord{
+				PandaID: p, JediTaskID: 100 + p, LFN: lfn, Scope: "data25",
+				Dataset: "ds", ProdDBlock: "ds", FileSize: 3e9, Kind: records.FileInput,
+			})
+			if p == 7 {
+				continue
+			}
+			store.PutTransfer(&records.TransferEvent{
+				EventID: p, LFN: lfn, Scope: "data25", Dataset: "ds", ProdDBlock: "ds",
+				FileSize: 3e9, SourceSite: "CERN-PROD", DestinationSite: "CERN-PROD",
+				Activity: records.AnalysisDownload, IsDownload: true,
+				JediTaskID: 100 + p, StartedAt: 1100, EndedAt: 1300,
+			})
+		}
+		var want []int // input positions of the matched rows, in oracle order
+		for i, j := range jobs {
+			if j.PandaID != 7 {
+				want = append(want, i)
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			pa, pb := jobs[want[a]].PandaID, jobs[want[b]].PandaID
+			return pa < pb || (pa == pb && want[a] < want[b])
+		})
+		m := NewMatcher(store)
+		for _, method := range []Method{RM1, RM2} {
+			for workers := 1; workers <= 5; workers++ {
+				got := m.RunParallel(jobs, method, workers)
+				if len(got.Matches) != len(want) || got.MatchedJobs != len(want) {
+					t.Fatalf("%s %v workers=%d: %d matches (MatchedJobs %d), want %d",
+						tc.name, method, workers, len(got.Matches), got.MatchedJobs, len(want))
+				}
+				for k, i := range want {
+					if got.Matches[k].Job != jobs[i] {
+						t.Fatalf("%s %v workers=%d: match %d is job row %d (pandaid %d), want row %d (pandaid %d)",
+							tc.name, method, workers, k, slices.Index(jobs, got.Matches[k].Job),
+							got.Matches[k].Job.PandaID, i, jobs[i].PandaID)
+					}
+				}
 			}
 		}
 	}

@@ -45,9 +45,9 @@ func (m *Matcher) matchJobReference(j *records.JobRecord, method Method) []*reco
 // against.
 func (m *Matcher) runReference(jobs []*records.JobRecord, method Method) *Result {
 	agg := newAggregator(m, method)
-	for i, j := range jobs {
+	for _, j := range jobs {
 		if evs := m.matchJobReference(j, method); len(evs) > 0 {
-			agg.add(i, Match{Job: j, Transfers: evs})
+			agg.add(Match{Job: j, Transfers: evs})
 		}
 	}
 	return agg.finish(len(jobs))

@@ -61,7 +61,7 @@ func RepairStore(store *metastore.Store, grid *topology.Grid, rm2 *Result) (*met
 		return store, st
 	}
 
-	repaired := metastore.NewSharded(store.ShardCount())
+	repaired := metastore.NewShardedSegmented(store.ShardCount(), 0)
 	jobs := store.Jobs(0, 1<<62, "")
 	for _, j := range jobs {
 		repaired.PutJob(j)

@@ -62,7 +62,7 @@ func BuildFromJobs(res *sim.Result, jobs []*records.JobRecord, workers int) *Sui
 	return &Suite{
 		Result:  res,
 		Jobs:    jobs,
-		Cmp:     analysis.CompareMethodsParallel(m, jobs, workers),
+		Cmp:     analysis.CompareMethods(m, jobs, workers),
 		Workers: workers,
 	}
 }

@@ -197,7 +197,7 @@ type AuditMark struct {
 // [from, to) window unless all is set — is re-hashed against its
 // seal-time hash.
 func (x *segIndex[T]) audit(k int, kind ArenaKind, from, to simtime.VTime, all bool, rep *AuditReport) int {
-	x.waitCommits()
+	x.wait()
 	for ; k < len(x.sealed); k++ {
 		seg, ref := x.sealed[k], SegmentRef{Arena: kind, Segment: k}
 		rep.Segments++
@@ -314,7 +314,7 @@ func (s *Store) StoreCommitment() Commitment {
 // and aggregates of its sealed segments, plus the tail rows hashed on the
 // fly.
 func (x *segIndex[T]) commitment() (rows int, agg uint64) {
-	x.waitCommits()
+	x.wait()
 	for _, seg := range x.sealed {
 		agg ^= seg.agg
 		rows += seg.committed
@@ -331,7 +331,7 @@ func (x *segIndex[T]) commitment() (rows int, agg uint64) {
 // sanctioned fault-injection seam of internal/verify. Synchronizes with
 // in-flight background sorts first.
 func (s *Store) SealedEventSegments(fn func(ref SegmentRef, rows []*records.TransferEvent)) {
-	s.evIdx.waitCommits()
+	s.evIdx.wait()
 	for k, seg := range s.evIdx.sealed {
 		fn(SegmentRef{Arena: ArenaEvents, Segment: k}, seg.rows)
 	}
@@ -339,7 +339,7 @@ func (s *Store) SealedEventSegments(fn func(ref SegmentRef, rows []*records.Tran
 
 // SealedJobSegments is SealedEventSegments for the jobs arena.
 func (s *Store) SealedJobSegments(fn func(ref SegmentRef, rows []*records.JobRecord)) {
-	s.jobIdx.waitCommits()
+	s.jobIdx.wait()
 	for k, seg := range s.jobIdx.sealed {
 		fn(SegmentRef{Arena: ArenaJobs, Segment: k}, seg.rows)
 	}
@@ -367,7 +367,7 @@ func (s *Store) TruncateSealed(ref SegmentRef, drop int) int {
 }
 
 func (x *segIndex[T]) truncate(seg, drop int) int {
-	x.waitCommits()
+	x.wait()
 	if seg < 0 || seg >= len(x.sealed) {
 		return 0
 	}

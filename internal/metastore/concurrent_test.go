@@ -11,43 +11,29 @@ import (
 	"panrucio/internal/records"
 )
 
-// taskKey addresses one single-shard TaskTransfersByKey probe.
-type taskKey struct {
-	jedi int64
-	key  metastore.JoinKey
-}
-
 // queryBaseline captures one serial pass over every read surface the
 // serving layer depends on, flattened to comparable values.
 type queryBaseline struct {
-	jobs      []records.JobRecord
-	window    []records.TransferEvent
-	all       []records.TransferEvent
-	byTask    map[int64][]records.TransferEvent
-	matches   [][]int64 // per job row (Jobs order) -> RM2 event ids
-	exact     [][]int64 // per job row (Jobs order) -> Exact event ids
-	entries   []int     // per job row (Jobs order) -> join-entry count
-	keyProbes map[taskKey][]records.TransferEvent
+	jobs    []records.JobRecord
+	window  []records.TransferEvent
+	all     []records.TransferEvent
+	byTask  map[int64][]records.TransferEvent
+	matches [][]int64                   // per job row (Jobs order) -> RM2 event ids
+	exact   [][]int64                   // per job row (Jobs order) -> Exact event ids
+	entries [][][]records.TransferEvent // per job row (Jobs order) -> each join entry's candidates
 }
 
 // snapshot runs the serial pass. The job set is re-queried rather than
 // passed in so the baseline exercises the same call sequence the
 // concurrent readers will.
 func snapshot(s *metastore.Store) *queryBaseline {
-	b := &queryBaseline{
-		byTask:    map[int64][]records.TransferEvent{},
-		keyProbes: map[taskKey][]records.TransferEvent{},
-	}
+	b := &queryBaseline{byTask: map[int64][]records.TransferEvent{}}
 	b.jobs = storetest.JobValues(s.Jobs(0, 20, ""))
 	b.window = storetest.EvValues(s.Transfers(3, 30))
 	b.all = storetest.EvValues(s.Transfers(0, 0))
 	m := core.NewMatcher(s)
 	for _, j := range s.Jobs(0, 20, "") {
-		b.entries = append(b.entries, len(s.JoinEntriesForJob(j.PandaID, j.JediTaskID)))
-		for _, f := range s.FilesForJob(j.PandaID, j.JediTaskID) {
-			tk := taskKey{j.JediTaskID, metastore.FileKey(f)}
-			b.keyProbes[tk] = storetest.EvValues(s.TaskTransfersByKey(tk.jedi, tk.key))
-		}
+		b.entries = append(b.entries, joinCandidates(s, j))
 		b.matches = append(b.matches, eventIDs(m.MatchJob(j, core.RM2)))
 		b.exact = append(b.exact, eventIDs(m.MatchJob(j, core.Exact)))
 		if _, seen := b.byTask[j.JediTaskID]; !seen {
@@ -55,6 +41,16 @@ func snapshot(s *metastore.Store) *queryBaseline {
 		}
 	}
 	return b
+}
+
+// joinCandidates flattens a job's join entries to their candidates, one
+// slice per entry.
+func joinCandidates(s *metastore.Store, j *records.JobRecord) [][]records.TransferEvent {
+	var out [][]records.TransferEvent
+	for _, e := range s.JoinEntriesForJob(j.PandaID, j.JediTaskID) {
+		out = append(out, storetest.EvValues(e.Candidates()))
+	}
+	return out
 }
 
 func eventIDs(evs []*records.TransferEvent) []int64 {
@@ -96,7 +92,7 @@ func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iter
 					return
 				}
 				for i, j := range s.Jobs(0, 20, "") {
-					if got := len(s.JoinEntriesForJob(j.PandaID, j.JediTaskID)); got != base.entries[i] {
+					if got := joinCandidates(s, j); !reflect.DeepEqual(got, base.entries[i]) {
 						errs <- "JoinEntriesForJob diverged from serial baseline"
 						return
 					}
@@ -106,12 +102,6 @@ func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iter
 					}
 					if got := eventIDs(m.MatchJob(j, core.Exact)); !reflect.DeepEqual(got, base.exact[i]) {
 						errs <- "MatchJob(Exact) diverged from serial baseline"
-						return
-					}
-				}
-				for tk, want := range base.keyProbes {
-					if got := storetest.EvValues(s.TaskTransfersByKey(tk.jedi, tk.key)); !reflect.DeepEqual(got, want) {
-						errs <- "TaskTransfersByKey diverged from serial baseline"
 						return
 					}
 				}
@@ -133,7 +123,7 @@ func hammer(t *testing.T, s *metastore.Store, base *queryBaseline, workers, iter
 
 // TestConcurrentFrozenReads is the read-only concurrency regression test
 // the serving layer depends on: N goroutines issue Jobs, Transfers,
-// MatchJob, JoinEntriesForJob, TaskTransfersByKey, and TransfersByTaskID
+// MatchJob, JoinEntriesForJob, and TransfersByTaskID
 // against one frozen store, each calling Freeze beside the others, and
 // every result must be identical to the serial baseline. Run under -race
 // in CI.
@@ -146,11 +136,11 @@ func TestConcurrentFrozenReads(t *testing.T) {
 }
 
 // TestConcurrentLiveReads is the same hammer on an un-frozen store mid
-// ingest (sealed segments + mutable tails): concurrent readers share the
-// lazily built tail views through the atomic cache, and all answers must
-// equal the serial baseline over the same ingested prefix. Ingest itself
-// is quiescent while readers run — the single-writer contract the serve
-// layer's epoch windows enforce.
+// ingest (sealed segments + mutable tails): each reader sorts the tails
+// into arrays of its own and writes nothing the others read, and all
+// answers must equal the serial baseline over the same ingested prefix.
+// Ingest itself is quiescent while readers run — the single-writer
+// contract the serve layer's epoch windows enforce.
 func TestConcurrentLiveReads(t *testing.T) {
 	stream := storetest.Make(43, 4000)
 	s := metastore.NewShardedSegmented(4, 64)
@@ -158,8 +148,8 @@ func TestConcurrentLiveReads(t *testing.T) {
 	base := snapshot(s)
 	hammer(t, s, base, 8, 2, false)
 
-	// Advance the ingest frontier (invalidating the tail caches), then
-	// hammer again at the new cut: the baseline must move with the data.
+	// Advance the ingest frontier, then hammer again at the new cut: the
+	// baseline must move with the data.
 	stream.IngestRange(s, (stream.Len()*2)/3, stream.Len())
 	base2 := snapshot(s)
 	hammer(t, s, base2, 8, 2, false)

@@ -95,16 +95,6 @@ func assertStoresAgree(t *testing.T, label string, live, ref *metastore.Store) {
 			}
 		}
 	}
-	for task := int64(1); task < 17; task++ {
-		for lfn := 0; lfn < 25; lfn += 5 {
-			key := metastore.JoinKey{LFN: fmt.Sprintf("f%d", lfn), Scope: "s", Dataset: "d1", ProdDBlock: "p"}
-			if !reflect.DeepEqual(
-				evValues(live.TaskTransfersByKey(task, key)),
-				evValues(ref.TaskTransfersByKey(task, key))) {
-				t.Fatalf("%s: TaskTransfersByKey(%d,%v) diverged", label, task, key)
-			}
-		}
-	}
 }
 
 // checkOracle holds a store to the stream oracle for the prefix it holds:
@@ -122,7 +112,7 @@ func checkOracle(t *testing.T, label string, s *metastore.Store, o *storetest.Or
 
 // TestCutPointEquivalence is the mid-run contract of the segmented store:
 // stop a fuzzed ingest at k random prefixes and assert Jobs, Transfers,
-// JoinEntriesForJob, TaskTransfersByKey, and MatchJob over the live
+// JoinEntriesForJob, and MatchJob over the live
 // sealed+tail state equal a fresh store fed the same prefix and frozen —
 // across shard counts {1,4,8} × segment sizes {small, default}. One live
 // store advances through all cuts (with explicit Seal()s interleaved at
@@ -156,7 +146,7 @@ func TestCutPointEquivalence(t *testing.T) {
 					prev = cut
 					refrozen.Freeze()
 
-					ref := metastore.NewSharded(1) // canonical batch path
+					ref := metastore.NewShardedSegmented(1, 0) // canonical batch path
 					st.IngestPrefix(ref, cut)
 					ref.Freeze()
 
@@ -182,7 +172,7 @@ func TestCutPointEquivalence(t *testing.T) {
 				// End of run: freezing the incrementally built store must land on
 				// the exact batch result.
 				live.Freeze()
-				ref := metastore.NewSharded(1)
+				ref := metastore.NewShardedSegmented(1, 0)
 				st.IngestPrefix(ref, st.Len())
 				ref.Freeze()
 				label := fmt.Sprintf("%s shards=%d segRows=%d frozen", order.name, shards, segRows)

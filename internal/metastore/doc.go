@@ -3,7 +3,7 @@
 // the time-windowed queries the paper's analysis workflow (Fig. 4) issues.
 //
 // The store is sharded, columnar, and segmented. Records route to one of N
-// shards (NewSharded; New picks DefaultShards) by a hash of their
+// shards (NewShardedSegmented; New picks DefaultShards) by a hash of their
 // jeditaskid and are value-copied into per-shard chunked arenas —
 // contiguous slabs with stable addresses and no per-record heap object.
 // Labels intern through a store-global table at ingest: the candidate
@@ -12,7 +12,7 @@
 // repeated site/RSE/activity backings collapse onto one allocation. The
 // LFN, unique to its file, is stored as the producer gave it and never
 // enters the table. Matching is task-local, so the matcher-facing probes
-// (JoinEntriesForJob, TaskTransfersByKey, FilesForJob, TransfersByTaskID)
+// (JoinEntriesForJob, FilesForJob, TransfersByTaskID)
 // touch exactly one shard; events without a jeditaskid spread round-robin
 // and never enter a task index.
 //
@@ -29,17 +29,17 @@
 // and Transfers is one segmented index per kind of row — jobs by EndTime,
 // transfers by StartedAt — kept by the store across every shard's arena
 // (NewShardedSegmented sizes its segments): rows land in a mutable tail,
-// row pointers and global put sequences in put order, whose sorted view
-// is cached lazily; when the tail reaches the segment-row threshold — or
+// row pointers and global put sequences in put order; when the tail
+// reaches the segment-row threshold — or
 // on an explicit Seal() — it is handed to an immutable, binary-searchable
-// sealed segment (sorted in the background while ingestion continues) and
-// a fresh tail begins.
+// sealed segment (sorted and committed in the background while ingestion
+// continues) and a fresh tail begins.
 //
 // Mid-run query visibility: every query surface answers at any point
 // during ingestion, with no Freeze required, over exactly the records put
 // so far. Jobs and Transfers have one code path, live or frozen: the
-// sealed segments' windows plus the tail's, merged by (time, ingestion
-// sequence), so their results are byte-identical for the same ingested
+// sealed segments' windows plus the tail's, sorted afresh on each call and
+// merged by (time, ingestion sequence), so their results are byte-identical for the same ingested
 // prefix at any cut — for any shard count crossed with any segment size
 // (pinned by the cut-point equivalence tests and FuzzSegmentMerge).
 // Freeze is the checkpoint finalizer: it seals both tails and compacts
@@ -54,10 +54,9 @@
 // overlap it (the serving layer's epoch lock and the ingest pipe's drain
 // before every checkpoint enforce this), but they may interleave with it
 // freely. Between puts, any number of readers may query concurrently,
-// live or frozen: the only state a query writes is a time index's cached
-// tail view, published through an atomic pointer, and background segment
-// sorts overlap ingestion safely (readers synchronize on the seal before
-// touching sealed runs). Readers of a frozen store may also call Freeze:
+// live or frozen: a query writes nothing, and background segment seals
+// overlap ingestion safely (readers synchronize on the seal, sort and
+// commitment alike, before touching sealed runs). Readers of a frozen store may also call Freeze:
 // on a settled store it returns at once and writes nothing (pinned under
 // -race by TestConcurrentFrozenReads). Reset empties a store for reuse — arena
 // high-water marks rewind keeping their chunks, index maps keep capacity,

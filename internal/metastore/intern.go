@@ -12,9 +12,8 @@ package metastore
 // already carries its producer's one name, so an entry per file would
 // collapse nothing and cost a probe and a table slot per file.
 //
-// The table is store-global, written only on the single-threaded ingest
-// path, and read-only during queries — concurrent readers may look up
-// symbols without locking.
+// The table is store-global and written only on the single-threaded
+// ingest path; no query probes it.
 type internTable struct {
 	ids  map[string]uint32
 	strs []string
@@ -44,13 +43,6 @@ func (t *internTable) canon(s string) string {
 	return t.strs[t.sym(s)]
 }
 
-// lookup resolves a symbol without interning — the query-side probe. A miss
-// means no record carrying s was ever ingested.
-func (t *internTable) lookup(s string) (uint32, bool) {
-	id, ok := t.ids[s]
-	return id, ok
-}
-
 // reset empties the table for store reuse while keeping the map's
 // capacity. The backing strings are released: a sweep worker's store must
 // not pin one scenario's dataset names through the next (the string-leak
@@ -64,9 +56,10 @@ func (t *internTable) reset() {
 // size reports the number of interned strings.
 func (t *internTable) size() int { return len(t.strs) }
 
-// bucketKey keys a candidate bucket: the matcher's per-file probe key
-// scoped to one JEDI task, with the file name as the producer gave it and
-// the three join labels as symbols.
+// bucketKey keys a candidate bucket: Algorithm 1's join key minus file
+// size (which Exact checks per row and RM1/RM2 relax) scoped to one JEDI
+// task, with the file name as the producer gave it and the three join
+// labels as symbols.
 type bucketKey struct {
 	task                       int64
 	lfn                        string

@@ -8,27 +8,6 @@ import (
 	"panrucio/internal/simtime"
 )
 
-// JoinKey is the composite join key shared by JEDI file rows and transfer
-// events: the equality attributes of Algorithm 1 minus file size, which is
-// method-dependent (Exact checks it, RM1/RM2 relax it) and therefore left
-// to the matcher.
-type JoinKey struct {
-	LFN        string
-	Scope      string
-	Dataset    string
-	ProdDBlock string
-}
-
-// FileKey is the join key of a JEDI file row.
-func FileKey(f *records.FileRecord) JoinKey {
-	return JoinKey{LFN: f.LFN, Scope: f.Scope, Dataset: f.Dataset, ProdDBlock: f.ProdDBlock}
-}
-
-// EventKey is the join key of a transfer event.
-func EventKey(ev *records.TransferEvent) JoinKey {
-	return JoinKey{LFN: ev.LFN, Scope: ev.Scope, Dataset: ev.Dataset, ProdDBlock: ev.ProdDBlock}
-}
-
 // DefaultShards is the shard count New selects. Fixed rather than
 // GOMAXPROCS-derived so a store's layout is machine-independent; results
 // are byte-identical for any shard count regardless (see the equivalence
@@ -41,7 +20,7 @@ const DefaultShards = 8
 // intern table; a candidate bucket is keyed by its task, the file name as
 // the producer gave it and three interned label symbols, not by four
 // strings. Matching is task-local, so the matcher's probes
-// (JoinEntriesForJob, TaskTransfersByKey) route to exactly one shard.
+// (JoinEntriesForJob, FilesForJob) route to exactly one shard.
 //
 // The time order of each arena kind is one store-wide segmented index:
 // rows land in a mutable tail, and the tail seals into an immutable sorted
@@ -86,20 +65,17 @@ type Store struct {
 func jobEnd(j *records.JobRecord) simtime.VTime       { return j.EndTime }
 func evStart(ev *records.TransferEvent) simtime.VTime { return ev.StartedAt }
 
-// New returns an empty store with DefaultShards shards.
-func New() *Store { return NewSharded(DefaultShards) }
+// New returns an empty store with DefaultShards shards and the default
+// segment size.
+func New() *Store { return NewShardedSegmented(DefaultShards, 0) }
 
-// NewSharded returns an empty store with n shards (n < 1 selects
-// DefaultShards) and the default segment size. Every query result is
-// byte-identical for any n; the knob trades per-shard reset parallelism
-// and matcher locality against fixed per-shard overhead.
-func NewSharded(n int) *Store { return NewShardedSegmented(n, 0) }
-
-// NewShardedSegmented is NewSharded with an explicit seal threshold: each
-// time index's mutable tail seals into an immutable sorted segment once it
-// holds segRows rows (< 1 selects DefaultSegmentRows). Like the shard
-// count, the segment size is purely a performance knob — results are
-// byte-identical for any value.
+// NewShardedSegmented returns an empty store with n shards (n < 1 selects
+// DefaultShards) whose time indices seal their mutable tails into
+// immutable sorted segments once they hold segRows rows (< 1 selects
+// DefaultSegmentRows). Every query result is byte-identical for any n and
+// segRows: the shard count trades per-shard reset parallelism and matcher
+// locality against fixed per-shard overhead, the segment size seal
+// frequency against per-query tail-sort cost.
 func NewShardedSegmented(n, segRows int) *Store {
 	if n < 1 {
 		n = DefaultShards
@@ -458,32 +434,6 @@ func (s *Store) FilesForJob(pandaID, jediTaskID int64) []*records.FileRecord {
 // ingestion order — a single-shard probe.
 func (s *Store) TransfersByTaskID(jedi int64) []*records.TransferEvent {
 	return s.shards[s.shardFor(jedi)].evByTask[jedi]
-}
-
-// TaskTransfersByKey returns the events of one JEDI task sharing the join
-// key — the per-file probe of the indexed matcher, answered entirely by the
-// task's shard. Events without a valid jeditaskid are never in this index,
-// preserving the paper's "transfers with a valid jeditaskid" pre-selection.
-// The key's LFN is compared by content, so any backing of it finds the
-// bucket.
-func (s *Store) TaskTransfersByKey(jedi int64, key JoinKey) []*records.TransferEvent {
-	scope, ok := s.strings.lookup(key.Scope)
-	if !ok {
-		return nil
-	}
-	ds, ok := s.strings.lookup(key.Dataset)
-	if !ok {
-		return nil
-	}
-	pdb, ok := s.strings.lookup(key.ProdDBlock)
-	if !ok {
-		return nil
-	}
-	bk := bucketKey{task: jedi, lfn: key.LFN, scope: scope, dataset: ds, prodDBlock: pdb}
-	if b := s.shards[s.shardFor(jedi)].evByTaskKey[bk]; b != nil {
-		return *b
-	}
-	return nil
 }
 
 // Transfers returns events with StartedAt in [from, to); from==to==0 means

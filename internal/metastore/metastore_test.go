@@ -83,13 +83,19 @@ func TestTransferIndexes(t *testing.T) {
 
 func TestJoinKeyIndices(t *testing.T) {
 	s := New()
-	key := JoinKey{LFN: "f1", Scope: "data25", Dataset: "ds", ProdDBlock: "pb"}
+	f := records.FileRecord{LFN: "f1", Scope: "data25", Dataset: "ds", ProdDBlock: "pb"}
 	mk := func(id, task int64) *records.TransferEvent {
 		return &records.TransferEvent{
-			EventID: id, LFN: key.LFN, Scope: key.Scope, Dataset: key.Dataset,
-			ProdDBlock: key.ProdDBlock, JediTaskID: task,
+			EventID: id, LFN: f.LFN, Scope: f.Scope, Dataset: f.Dataset,
+			ProdDBlock: f.ProdDBlock, JediTaskID: task,
 			Activity: records.AnalysisDownload,
 		}
+	}
+	// One job per task, each reading the one file: job 100+task.
+	for _, task := range []int64{0, 5, 6, 7} {
+		row := f
+		row.PandaID, row.JediTaskID = 100+task, task
+		s.PutFile(&row)
 	}
 	s.PutTransfer(mk(1, 5))
 	s.PutTransfer(mk(2, 5))
@@ -99,19 +105,23 @@ func TestJoinKeyIndices(t *testing.T) {
 	other.Dataset = "other"
 	s.PutTransfer(other)
 
-	got := s.TaskTransfersByKey(5, key)
-	if len(got) != 2 || got[0].EventID != 1 || got[1].EventID != 2 {
-		t.Fatalf("TaskTransfersByKey(5) = %v, want events 1,2 in ingestion order", got)
+	candidates := func(task int64) []*records.TransferEvent {
+		es := s.JoinEntriesForJob(100+task, task)
+		if len(es) != 1 {
+			t.Fatalf("JoinEntriesForJob(%d, %d) = %d entries, want 1", 100+task, task, len(es))
+		}
+		return es[0].Candidates()
 	}
-	if got := s.TaskTransfersByKey(6, key); len(got) != 1 || got[0].EventID != 3 {
-		t.Fatalf("TaskTransfersByKey(6) wrong: %v", got)
+	if got := candidates(5); len(got) != 2 || got[0].EventID != 1 || got[1].EventID != 2 {
+		t.Fatalf("task 5 candidates = %v, want events 1,2 in ingestion order", got)
 	}
-	if got := s.TaskTransfersByKey(7, key); got != nil {
-		t.Errorf("phantom task bucket: %v", got)
+	if got := candidates(6); len(got) != 1 || got[0].EventID != 3 {
+		t.Fatalf("task 6 candidates wrong: %v", got)
 	}
-	f := &records.FileRecord{LFN: key.LFN, Scope: key.Scope, Dataset: key.Dataset, ProdDBlock: key.ProdDBlock}
-	if FileKey(f) != key || EventKey(mk(9, 1)) != key {
-		t.Error("FileKey/EventKey disagree with the composite key")
+	for _, task := range []int64{0, 7} {
+		if got := s.JoinEntriesForJob(100+task, task); got != nil {
+			t.Errorf("phantom task %d bucket: %v", task, got)
+		}
 	}
 	counts := s.TaskTransfersByActivity()
 	if counts[records.AnalysisDownload] != 4 {
@@ -126,7 +136,7 @@ func TestJoinKeyIndices(t *testing.T) {
 // TestInternTableHoldsLabelsOnly pins the intern table to the labels: a
 // file name, unique to its file, is stored as given, so files under one
 // label set leave the table at the label count however many there are, and
-// any backing of a stored LFN finds its bucket.
+// an event whose LFN has its own backing still joins the file's row.
 func TestInternTableHoldsLabelsOnly(t *testing.T) {
 	s := New()
 	const task = 5
@@ -137,7 +147,7 @@ func TestInternTableHoldsLabelsOnly(t *testing.T) {
 			Scope: "user.x", Dataset: "user.x.ds", ProdDBlock: "user.x.ds",
 		})
 		s.PutTransfer(&records.TransferEvent{
-			EventID: i, JediTaskID: task, LFN: lfn,
+			EventID: i, JediTaskID: task, LFN: strings.Clone(lfn),
 			Scope: "user.x", Dataset: "user.x.ds", ProdDBlock: "user.x.ds",
 			SourceRSE: "A_DATADISK", DestinationRSE: "B_DATADISK",
 			SourceSite: "A", DestinationSite: "B", Activity: records.AnalysisDownload,
@@ -148,12 +158,9 @@ func TestInternTableHoldsLabelsOnly(t *testing.T) {
 	if got := s.InternedStrings(); got != 7 {
 		t.Fatalf("InternedStrings = %d after 100 files under one label set, want the 7 labels", got)
 	}
-	f := s.FilesForJob(42, task)[0]
-	got := s.TaskTransfersByKey(task, JoinKey{
-		LFN: strings.Clone(f.LFN), Scope: f.Scope, Dataset: f.Dataset, ProdDBlock: f.ProdDBlock,
-	})
-	if len(got) != 1 || got[0].EventID != 42 {
-		t.Fatalf("TaskTransfersByKey with a copy of %q = %v, want event 42", f.LFN, got)
+	es := s.JoinEntriesForJob(42, task)
+	if len(es) != 1 || len(es[0].Candidates()) != 1 || es[0].Candidates()[0].EventID != 42 {
+		t.Fatalf("JoinEntriesForJob(42) with the event's LFN a copy of the file's = %v, want event 42", es)
 	}
 }
 

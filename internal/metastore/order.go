@@ -3,8 +3,8 @@ package metastore
 // stableOrder returns the permutation that stably sorts keys ascending:
 // keys[p[0]] <= keys[p[1]] <= ..., with equal keys in index order. It is
 // the package's one sort — Jobs orders its window by pandaid with it, and
-// every seal and tail view orders its times with it — so the frozen and
-// live paths share a single ordering routine.
+// every seal and every ranged query over a non-empty tail orders its times
+// with it — so the frozen and live paths share a single ordering routine.
 //
 // The kernel is an LSD radix sort over the eight key bytes, least
 // significant first. Flipping the sign bit maps int64 order onto uint64

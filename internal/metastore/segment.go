@@ -19,14 +19,14 @@ import (
 const DefaultSegmentRows = 1 << 15
 
 // segRun is one (time, ingestion-sequence) sorted run: the contents of a
-// sealed segment, a sorted tail view, or a binary-searched window into
-// either. rows and seqs are parallel; once a run has been sorted it is
-// immutable, so windows may alias it freely.
+// sealed segment, a query's sorted copy of the tail, or a binary-searched
+// window into either. rows and seqs are parallel; once a run has been
+// sorted it is immutable, so windows may alias it freely.
 //
 // Sealed runs additionally carry their integrity commitment (see
 // commit.go): a per-row hash array parallel to rows, the chain head over
 // the (time, seq) order, the order-independent XOR aggregate, and the row
-// count at commitment time. Tail views and windows leave these zero.
+// count at commitment time. Tail copies and windows leave these zero.
 type segRun[T any] struct {
 	rows []*T
 	seqs []uint32
@@ -69,7 +69,7 @@ func (r *segRun[T]) window(from, to simtime.VTime, at func(*T) simtime.VTime) se
 // with the package's stable radix kernel (stableOrder) over the extracted
 // times. Rows come in put (sequence) order, so stability makes the result
 // ordered by (time, seq) without comparing sequences. Every seal and every
-// tail view sorts here.
+// ranged query over a non-empty tail sorts here.
 func sortedRun[T any](rows []*T, seqs []uint32, at func(*T) simtime.VTime) segRun[T] {
 	times := make([]int64, len(rows))
 	for i, p := range rows {
@@ -86,8 +86,7 @@ func sortedRun[T any](rows []*T, seqs []uint32, at func(*T) simtime.VTime) segRu
 // row — jobs by EndTime or transfers by StartedAt — across every shard's
 // arena: an ordered list of immutable sealed segments plus a mutable tail,
 // the rows put since the last seal as row pointers and global put
-// sequences in put order. The tail's sorted view is built lazily and
-// cached until the next add invalidates it.
+// sequences in put order.
 //
 // The single-writer ingest contract of the store extends here: add, seal,
 // compact and reset run only on the ingest path or under the store's
@@ -96,9 +95,8 @@ func sortedRun[T any](rows []*T, seqs []uint32, at func(*T) simtime.VTime) segRu
 // goroutine so ingestion continues meanwhile; every reader synchronizes
 // through wait() before touching sealed runs. Readers may run concurrently
 // with each other at any time (the serving layer batches them into windows
-// where no ingest is in flight): the lazily built tail view is published
-// through an atomic pointer, so racing readers at worst build the same
-// immutable view twice.
+// where no ingest is in flight), because a query writes nothing: it sorts
+// a non-empty tail into fresh arrays of its own.
 type segIndex[T any] struct {
 	at    func(*T) simtime.VTime
 	limit int // seal threshold in rows
@@ -121,17 +119,9 @@ type segIndex[T any] struct {
 	// and reset drop it, so a settled store keeps no empty tail arrays.
 	spare atomic.Pointer[tailArrays[T]]
 
-	// tail caches the sorted view of the tail; cleared by an add or a
-	// seal. Atomic so concurrent readers can share (or independently
-	// rebuild) the view without serializing on a lock.
-	tail atomic.Pointer[segRun[T]]
-
-	// sealing publishes the background sort; committing additionally
-	// publishes the commitment hashes computed after it. Queries only need
-	// the sort (wait); audits, compaction, and reset need the commitments
-	// too (waitCommits), so hashing stays off the query critical path.
-	sealing    sync.WaitGroup
-	committing sync.WaitGroup
+	// sealing publishes each background seal, sort and commitment hashes
+	// alike, to wait().
+	sealing sync.WaitGroup
 }
 
 // tailArrays are a tail's backing arrays, handed back by a seal's sort.
@@ -140,16 +130,9 @@ type tailArrays[T any] struct {
 	seqs []uint32
 }
 
-// add appends one row to the tail, invalidating the cached tail view and
-// sealing the tail once it reaches the limit; it reports whether it
-// sealed. Only readers build tail views, and under the single-writer
-// contract above no reader overlaps ingest (the serving layer's epoch lock
-// admits readers only between ingest windows), so a nil Load here cannot
-// race a reader's Store and the common case skips the atomic store.
+// add appends one row to the tail, sealing the tail once it reaches the
+// limit; it reports whether it sealed.
 func (x *segIndex[T]) add(p *T, seq uint32) bool {
-	if x.tail.Load() != nil {
-		x.tail.Store(nil)
-	}
 	if x.rows == nil {
 		// A fresh tail refills the arrays a seal's sort handed back, if
 		// any; without them append grows it from nil.
@@ -173,21 +156,16 @@ func (x *segIndex[T]) seal() bool {
 	seg := &segRun[T]{rows: x.rows, seqs: x.seqs}
 	x.rows, x.seqs = nil, nil
 	x.sealed = append(x.sealed, seg)
-	x.tail.Store(nil)
 	mSeals.Inc()
 	mSealRows.Observe(float64(len(seg.rows)))
 	x.sealing.Add(1)
-	x.committing.Add(1)
 	go func() {
-		defer x.committing.Done()
+		defer x.sealing.Done()
 		t0 := time.Now()
 		tail := &tailArrays[T]{rows: seg.rows[:0], seqs: seg.seqs[:0]}
 		*seg = sortedRun(seg.rows, seg.seqs, x.at)
 		x.spare.Store(tail) // copied out: the arrays are free to refill
 		mSealSortSeconds.ObserveSince(t0)
-		// Publish the sort before hashing: queries block only on the sorted
-		// order, not on the commitment computed over it.
-		x.sealing.Done()
 		// Commit the sealed contents while still off the ingest path: the
 		// segment is immutable from here on, so the hashes fix its
 		// canonical (time, seq) order and contents.
@@ -199,39 +177,19 @@ func (x *segIndex[T]) seal() bool {
 	return true
 }
 
-// wait blocks until every in-flight segment sort has finished. Readers of
-// sealed runs must call it first; the WaitGroup edge is what publishes the
-// sorted contents to them.
+// wait blocks until every in-flight seal has finished its sort and its
+// commitment hashing. Every reader of sealed runs — queries, audits,
+// compaction (which carries the hashes), truncation, reset — calls it
+// first; the WaitGroup edge is what publishes the sealed contents to them.
 func (x *segIndex[T]) wait() { x.sealing.Wait() }
-
-// waitCommits blocks until every in-flight seal has finished both its sort
-// and its commitment hashing. Anything that reads or rewrites the hashes —
-// audits, compaction (which carries them), truncation, reset — must use
-// this edge instead of wait.
-func (x *segIndex[T]) waitCommits() { x.committing.Wait() }
-
-// tailRun returns the sorted view of the tail, rebuilding it only when an
-// add has invalidated the cache. The view owns fresh arrays, so runs
-// handed to callers survive later rebuilds untouched. Concurrent readers
-// may each build the view when the cache is cold — the builds are
-// identical and the last Store wins, so no locking is needed and readers
-// never serialize on each other.
-func (x *segIndex[T]) tailRun() *segRun[T] {
-	if t := x.tail.Load(); t != nil {
-		return t
-	}
-	t := sortedRun(x.rows, x.seqs, x.at)
-	x.tail.Store(&t)
-	return &t
-}
 
 // window returns the rows with time in [from, to) — every row when all is
 // set — in (time, seq) order: the windows of the sealed segments plus the
-// tail's, merged by the one kernel. On a frozen store that is one
-// binary-searched run, returned as is, so the result may alias the index
-// and callers must not modify it. The runs carry rows and seqs only: the
-// commitment fields of a sealed run may still be written by its seal
-// goroutine — wait() publishes the sort, not the hashes.
+// tail's, merged by the one kernel. A non-empty tail is sorted into fresh
+// arrays on each call, so the query writes nothing. On a frozen store
+// that is one binary-searched run, returned as is, so the result may
+// alias the index and callers must not modify it. The runs carry rows and
+// seqs only, so the merge never copies commitment hashes.
 func (x *segIndex[T]) window(from, to simtime.VTime, all bool) []*T {
 	x.wait()
 	runs := make([]segRun[T], 0, len(x.sealed)+1)
@@ -239,8 +197,7 @@ func (x *segIndex[T]) window(from, to simtime.VTime, all bool) []*T {
 		runs = append(runs, segRun[T]{rows: seg.rows, seqs: seg.seqs})
 	}
 	if len(x.rows) > 0 {
-		t := x.tailRun()
-		runs = append(runs, segRun[T]{rows: t.rows, seqs: t.seqs})
+		runs = append(runs, sortedRun(x.rows, x.seqs, x.at))
 	}
 	if !all {
 		for i := range runs {
@@ -268,7 +225,7 @@ func (x *segIndex[T]) window(from, to simtime.VTime, all bool) []*T {
 // (including truncation, which survives as a committed-count excess over
 // the merged length).
 func (x *segIndex[T]) compact() bool {
-	x.waitCommits()
+	x.wait()
 	if len(x.sealed) <= 1 {
 		return false
 	}
@@ -294,10 +251,9 @@ func (x *segIndex[T]) compact() bool {
 // segment sort first so a background sorter can never race the arena
 // clear that follows. The tail keeps its capacity; the spare is dropped.
 func (x *segIndex[T]) reset() {
-	x.waitCommits()
+	x.wait()
 	x.sealed = nil
 	x.rows, x.seqs = x.rows[:0], x.seqs[:0]
-	x.tail.Store(nil)
 	x.dropSpare()
 }
 

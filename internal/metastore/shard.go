@@ -6,7 +6,7 @@ import "panrucio/internal/records"
 // are routed here by jeditaskid hash; transfer events carrying a jeditaskid
 // follow their task, task-less (background) events are spread round-robin.
 // Matching is task-local, so every per-task index is shard-complete: the
-// matcher's JoinEntriesForJob/TaskTransfersByKey probes touch exactly one
+// matcher's JoinEntriesForJob/FilesForJob probes touch exactly one
 // shard. A shard owns only its arenas and its per-task hash maps, both
 // maintained incrementally at ingest; the time order of the rows is the
 // store's (Store.jobIdx, Store.evIdx).

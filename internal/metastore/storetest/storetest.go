@@ -222,20 +222,21 @@ type Oracle struct {
 	evs   []records.TransferEvent
 
 	byJob         map[[2]int64][]int // (pandaid, jeditaskid) → file rows
-	byKey         map[taskKey][]int  // (jeditaskid ≠ 0, join key) → events
+	byKey         map[joinKey][]int  // (jeditaskid ≠ 0, join key) → events
 	tasks, pandas map[int64]bool     // every id the prefix uses
 }
 
-type taskKey struct {
-	task int64
-	key  metastore.JoinKey
+// joinKey is Algorithm 1's join key minus file size, scoped to a task.
+type joinKey struct {
+	task                            int64
+	lfn, scope, dataset, prodDBlock string
 }
 
 // Oracle builds the oracle for the first k puts of the stream.
 func (st *Stream) Oracle(k int) *Oracle {
 	o := &Oracle{
 		byJob:  map[[2]int64][]int{},
-		byKey:  map[taskKey][]int{},
+		byKey:  map[joinKey][]int{},
 		tasks:  map[int64]bool{},
 		pandas: map[int64]bool{},
 	}
@@ -258,8 +259,8 @@ func (st *Stream) Oracle(k int) *Oracle {
 		default:
 			ev := st.evs[e]
 			if ev.JediTaskID != 0 {
-				tk := taskKey{ev.JediTaskID, metastore.EventKey(&ev)}
-				o.byKey[tk] = append(o.byKey[tk], len(o.evs))
+				k := joinKey{ev.JediTaskID, ev.LFN, ev.Scope, ev.Dataset, ev.ProdDBlock}
+				o.byKey[k] = append(o.byKey[k], len(o.evs))
 			}
 			o.evs = append(o.evs, ev)
 			o.tasks[ev.JediTaskID] = true
@@ -285,24 +286,18 @@ func (o *Oracle) FilesForJob(panda, task int64) []records.FileRecord {
 	return out
 }
 
-// TaskTransfersByKey is the prefix's events of the task (never task 0)
-// with the join key, in put order.
-func (o *Oracle) TaskTransfersByKey(task int64, key metastore.JoinKey) []records.TransferEvent {
-	var out []records.TransferEvent
-	for _, i := range o.byKey[taskKey{task, key}] {
-		out = append(out, o.evs[i])
-	}
-	return out
-}
-
 // JoinEntriesForJob is FilesForJob with each row's candidates: the
-// prefix's events of the row's task with the row's join key, in put order.
-// It is nil when no row has a candidate, since such a job cannot match.
+// prefix's events of the row's task (never task 0) with the row's join
+// key, in put order. It is nil when no row has a candidate, since such a
+// job cannot match.
 func (o *Oracle) JoinEntriesForJob(panda, task int64) []Entry {
 	var out []Entry
 	bound := false
 	for _, f := range o.FilesForJob(panda, task) {
-		c := o.TaskTransfersByKey(task, metastore.FileKey(&f))
+		var c []records.TransferEvent
+		for _, i := range o.byKey[joinKey{task, f.LFN, f.Scope, f.Dataset, f.ProdDBlock}] {
+			c = append(c, o.evs[i])
+		}
 		bound = bound || len(c) > 0
 		out = append(out, Entry{File: f, Candidates: c})
 	}
@@ -349,9 +344,8 @@ func (o *Oracle) Jobs(from, to simtime.VTime, label records.SourceLabel) []recor
 }
 
 // CheckJoins compares the store's matcher-facing probes —
-// JoinEntriesForJob, FilesForJob and TaskTransfersByKey — with the oracle
-// for every pandaid × jeditaskid and every task × join key the prefix
-// uses, plus ids it never used, and returns the first difference. A job
+// JoinEntriesForJob and FilesForJob — with the oracle for every pandaid ×
+// jeditaskid the prefix uses, and returns the first difference. A job
 // whose rows have no candidate must get no join entries yet keep every
 // file row, so this also holds the store's split of groups into bound
 // and unbound to the put stream.
@@ -382,21 +376,6 @@ func (o *Oracle) CheckJoins(s *metastore.Store) error {
 				if *f != wantFiles[i] {
 					return fmt.Errorf("FilesForJob(%d,%d)[%d]: %+v, want %+v", panda, task, i, *f, wantFiles[i])
 				}
-			}
-		}
-	}
-	keys := map[metastore.JoinKey]bool{{LFN: "never-put"}: true}
-	for _, f := range o.files {
-		keys[metastore.FileKey(&f)] = true
-	}
-	for _, ev := range o.evs {
-		keys[metastore.EventKey(&ev)] = true
-	}
-	for _, task := range tasks {
-		for key := range keys {
-			got, want := EvValues(s.TaskTransfersByKey(task, key)), o.TaskTransfersByKey(task, key)
-			if !sameEvents(got, want) {
-				return fmt.Errorf("TaskTransfersByKey(%d,%+v): %v, want %v", task, key, eventIDs(got), eventIDs(want))
 			}
 		}
 	}

@@ -40,15 +40,6 @@ type Dataset struct {
 	Files []*FileInfo
 }
 
-// TotalBytes sums the file sizes in the dataset.
-func (d *Dataset) TotalBytes() int64 {
-	var total int64
-	for _, f := range d.Files {
-		total += f.Size
-	}
-	return total
-}
-
 // ReplicaState is the lifecycle state of one file copy at one RSE.
 type ReplicaState int
 
@@ -70,7 +61,7 @@ type replicaEntry struct {
 // Catalog is the Rucio namespace: files, datasets, replicas.
 // Single-goroutine, like the rest of the DES.
 type Catalog struct {
-	files    map[string]*FileInfo // keyed by LFN, which AddFile keeps unique
+	files    map[string]struct{} // every accepted LFN, which AddFile keeps unique
 	datasets map[string]*Dataset
 
 	// RSE name interning for replicaEntry, ids in first-seen order (a grid
@@ -83,7 +74,7 @@ type Catalog struct {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		files:    make(map[string]*FileInfo),
+		files:    make(map[string]struct{}),
 		datasets: make(map[string]*Dataset),
 		rseIDs:   make(map[string]uint16),
 	}
@@ -112,19 +103,22 @@ func (c *Catalog) CreateDataset(scope, name string) (*Dataset, error) {
 }
 
 // AddFile attaches a new file to an existing dataset. LFNs are globally
-// unique.
+// unique. The dataset is checked first, so a file rejected for its
+// dataset leaves its LFN free; the uniqueness check is one insert into the
+// LFN set, which hashes the LFN once, and a set that did not grow held it.
 func (c *Catalog) AddFile(f *FileInfo) error {
 	if f.LFN == "" {
 		return fmt.Errorf("rucio: empty LFN")
-	}
-	if _, dup := c.files[f.LFN]; dup {
-		return fmt.Errorf("rucio: file %q exists", f.LFN)
 	}
 	d, ok := c.datasets[f.Dataset]
 	if !ok {
 		return fmt.Errorf("rucio: dataset %q not found for file %q", f.Dataset, f.LFN)
 	}
-	c.files[f.LFN] = f
+	n := len(c.files)
+	c.files[f.LFN] = struct{}{}
+	if len(c.files) == n {
+		return fmt.Errorf("rucio: file %q exists", f.LFN)
+	}
 	d.Files = append(d.Files, f)
 	return nil
 }
@@ -207,18 +201,6 @@ func (c *Catalog) DatasetCompleteAt(ds *Dataset, rse string) bool {
 		}
 	}
 	return true
-}
-
-// DatasetBytesAt sums the bytes of the dataset's files that have available
-// replicas at the RSE (used by locality-weighted brokerage).
-func (c *Catalog) DatasetBytesAt(ds *Dataset, rse string) int64 {
-	var total int64
-	for _, f := range ds.Files {
-		if c.HasReplica(f, rse) {
-			total += f.Size
-		}
-	}
-	return total
 }
 
 // DatasetSites returns the sites whose primary disk RSE holds the complete

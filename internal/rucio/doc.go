@@ -8,8 +8,9 @@
 // OpenSearch.
 //
 // Replica lists live on each *FileInfo as (RSE id, state) entries, so the
-// catalog's replica operations take the file and never hash an LFN; the
-// files map remains as AddFile's duplicate-LFN check. New registers the
+// catalog's replica operations take the file and never hash an LFN; a set
+// of LFNs remains as AddFile's duplicate-LFN check, one insert per file.
+// New registers the
 // grid's RSEs with the catalog first and in order, so catalog RSE id i is
 // grid RSE i and source selection scores replicas through topology's
 // per-RSE tables; equal scores go to the smaller RSE name.

@@ -15,8 +15,8 @@ func (r *Rucio) ChooseSource(f *FileInfo, dstSite string) (string, bool) {
 // Files lists every catalogued file, sorted by LFN.
 func (c *Catalog) Files() []*FileInfo {
 	out := make([]*FileInfo, 0, len(c.files))
-	for _, f := range c.files {
-		out = append(out, f)
+	for _, d := range c.datasets {
+		out = append(out, d.Files...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].LFN < out[j].LFN })
 	return out

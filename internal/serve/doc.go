@@ -15,8 +15,8 @@
 //     write lock while ingesting; each observer checkpoint bumps the store
 //     epoch and opens a read window in which queued request handlers run
 //     concurrently against the quiescent store — reads never interleave
-//     with ingest, and readers never serialize against each other (the
-//     metastore's lazy tail views publish through atomic pointers). A
+//     with ingest, and readers never serialize against each other (a
+//     metastore query writes nothing). A
 //     handler builds its body inside the window and writes it after
 //     leaving, so a client that stops reading cannot hold ingest back.
 //     The final checkpoint freezes the store and leaves the window open

@@ -193,7 +193,7 @@ func TestCorruptionDisableFlows(t *testing.T) {
 func TestRunReusingShardedStore(t *testing.T) {
 	fresh := Run(QuickConfig(3))
 
-	store := metastore.NewSharded(4)
+	store := metastore.NewShardedSegmented(4, 0)
 	RunReusing(QuickConfig(7), store) // dirty the store with another scenario
 	interned := store.InternedStrings()
 	reused := RunReusing(QuickConfig(3), store)

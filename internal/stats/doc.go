@@ -1,6 +1,6 @@
 // Package stats provides the small numeric toolkit the analysis layer
-// needs: means, geometric means, percentiles, histograms, and byte
-// formatting (FormatBytes).
+// needs: means, geometric means, percentiles, and byte formatting
+// (FormatBytes).
 //
 // Everything is allocation-light and deterministic — pure functions of
 // their inputs with no global state — so the analyses and shape checks

@@ -97,44 +97,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Histogram is a fixed-width bin counter over [Lo, Hi); values outside the
-// range land in the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram creates a histogram with n bins covering [lo, hi). n must be
-// positive and hi > lo.
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: invalid histogram [%g,%g)/%d", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // FormatBytes renders a byte count with a binary-free SI-style unit, the
 // way the paper quotes volumes (TB, PB, EB at 10^12/10^15/10^18).
 func FormatBytes(b float64) string {

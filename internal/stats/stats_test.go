@@ -62,29 +62,6 @@ func TestMinMaxSum(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	if _, err := NewHistogram(0, 0, 5); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(0.5)
-	h.Add(9.5)
-	h.Add(-3)  // clamps to first
-	h.Add(100) // clamps to last
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
 func TestFormatBytes(t *testing.T) {
 	cases := map[float64]string{
 		1e18:  "1.00 EB",

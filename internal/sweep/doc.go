@@ -11,7 +11,7 @@
 // a bounded worker pool; each worker goroutine owns one metastore that
 // sim.RunReusing resets between scenarios, so index-map capacity is
 // reused instead of reallocated. Per scenario the engine runs the three
-// matching passes (analysis.CompareMethodsParallel) against the frozen
+// matching passes (analysis.CompareMethods) against the frozen
 // store and evaluates analysis.ShapeChecks.
 //
 // Determinism invariant: a Report is a pure function of the scenario

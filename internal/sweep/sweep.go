@@ -25,16 +25,8 @@ type Options struct {
 	// (<= 0 selects GOMAXPROCS). The report is identical for any value.
 	Workers int
 	// MatchWorkers is the per-scenario matcher fan-out passed to
-	// analysis.CompareMethodsParallel (<= 0 runs the passes inline).
+	// analysis.CompareMethods (<= 0 selects one worker).
 	MatchWorkers int
-	// Shards selects the shard count of each worker's metastore (<= 0
-	// picks metastore.DefaultShards). Purely a performance knob: the
-	// report is byte-identical for any value.
-	Shards int
-	// SegmentRows selects the segment-seal threshold per time index of
-	// each worker's metastore (<= 0 picks metastore.DefaultSegmentRows).
-	// Like Shards, the report is byte-identical for any value.
-	SegmentRows int
 	// Trace, when non-nil, receives one checkpoint event per TraceEvery of
 	// virtual time per scenario (named by scenario id) plus one span per
 	// scenario. The trace writer serializes concurrent workers' records;
@@ -133,21 +125,13 @@ func Run(scenarios []Scenario, opt Options) *Report {
 	opt.fill(len(scenarios))
 	outcomes := make([]Outcome, len(scenarios))
 
-	if opt.Workers <= 1 {
-		store := metastore.NewShardedSegmented(opt.Shards, opt.SegmentRows)
-		for i, sc := range scenarios {
-			outcomes[i] = evaluate(sc, store, opt)
-		}
-		return &Report{Outcomes: outcomes}
-	}
-
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			store := metastore.NewShardedSegmented(opt.Shards, opt.SegmentRows)
+			store := metastore.New()
 			for i := range idx {
 				outcomes[i] = evaluate(scenarios[i], store, opt)
 			}
@@ -180,7 +164,7 @@ func evaluate(sc Scenario, store *metastore.Store, opt Options) Outcome {
 		res = sim.RunReusing(sc.Config, store)
 	}
 	jobs := res.Store.Jobs(res.WindowFrom, res.WindowTo, records.LabelUser)
-	cmp := analysis.CompareMethodsParallel(core.NewMatcher(res.Store), jobs, opt.MatchWorkers)
+	cmp := analysis.CompareMethods(core.NewMatcher(res.Store), jobs, opt.MatchWorkers)
 	checks := analysis.ShapeChecks(res.Store, res.Grid, res.WindowFrom, res.WindowTo, cmp)
 
 	// The integrity half of E15: with the matching passes done (tolerance

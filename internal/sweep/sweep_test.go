@@ -66,22 +66,6 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The sweep report must also be byte-identical for any metastore shard
-// count — the per-worker store's layout is a performance knob, never an
-// output parameter.
-func TestSweepByteIdenticalAcrossShards(t *testing.T) {
-	scenarios := CorruptionRamp(rampConfig(1), []float64{0, 0.5})
-	one := Run(scenarios, Options{Workers: 2, Shards: 1})
-	eight := Run(scenarios, Options{Workers: 2, MatchWorkers: 2, Shards: 8})
-
-	if a, b := one.Markdown(), eight.Markdown(); a != b {
-		t.Errorf("markdown diverged across shard counts:\n--- shards=1 ---\n%s\n--- shards=8 ---\n%s", a, b)
-	}
-	if a, b := one.JSON(), eight.JSON(); a != b {
-		t.Error("JSON diverged across shard counts")
-	}
-}
-
 func TestRampOutcomesCarryTheRobustnessSignal(t *testing.T) {
 	rep := Run(CorruptionRamp(rampConfig(1), []float64{0, 0.5}), Options{Workers: 2})
 	if len(rep.Outcomes) != 2 {

@@ -101,17 +101,11 @@ func RunOnline(cfg sim.Config, opt OnlineOptions) *OnlineReport {
 		rep.MidRunDetected += len(win.Violations)
 
 		// Anomaly scan of the window's freshly ended user jobs via live
-		// RM2 matching — MatchJob works mid-run and never freezes, so the
-		// audit marks above stay valid.
+		// RM2 matching — a matching pass works mid-run and never freezes,
+		// so the audit marks above stay valid.
 		jobs := store.Jobs(now-opt.Every, now, records.LabelUser)
 		if len(jobs) > 0 {
-			matcher := core.NewMatcher(store)
-			mres := &core.Result{Method: core.RM2}
-			for _, j := range jobs {
-				if evs := matcher.MatchJob(j, core.RM2); len(evs) > 0 {
-					mres.Matches = append(mres.Matches, core.Match{Job: j, Transfers: evs})
-				}
-			}
+			mres := core.NewMatcher(store).RunParallel(jobs, core.RM2, 1)
 			rep.JobsScanned += len(jobs)
 			findings := len(anomaly.NewScanner(grid).Scan(mres).Findings)
 			rep.Findings += findings
